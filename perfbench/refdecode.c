@@ -1,0 +1,53 @@
+/* Reference decoder: read a JFIF stream on stdin, decode it with the
+ * system libjpeg and write the raster to stdout as binary PPM (P6).  The
+ * decode time in milliseconds, from jpeg_read_header to
+ * jpeg_finish_decompress, goes to stderr.  libjpeg's default error handler
+ * exits with status 1 on a malformed stream.
+ *
+ * Build: gcc -O2 -o refdecode refdecode.c -ljpeg
+ */
+#include <stdio.h>
+#include <stdlib.h>
+#include <time.h>
+
+#include <jpeglib.h>
+
+int main(void) {
+    size_t cap = 1 << 20, len = 0, n;
+    unsigned char *in = malloc(cap);
+    while (in && (n = fread(in + len, 1, cap - len, stdin)) > 0) {
+        len += n;
+        if (len == cap)
+            in = realloc(in, cap *= 2);
+    }
+    if (!in)
+        return 2;
+
+    struct jpeg_decompress_struct cinfo;
+    struct jpeg_error_mgr jerr;
+    struct timespec t0, t1;
+    cinfo.err = jpeg_std_error(&jerr);
+    jpeg_create_decompress(&cinfo);
+    clock_gettime(CLOCK_MONOTONIC, &t0);
+    jpeg_mem_src(&cinfo, in, len);
+    jpeg_read_header(&cinfo, TRUE);
+    jpeg_start_decompress(&cinfo);
+    size_t stride = (size_t)cinfo.output_width * cinfo.output_components;
+    unsigned char *out = malloc(stride * cinfo.output_height);
+    if (!out)
+        return 2;
+    while (cinfo.output_scanline < cinfo.output_height) {
+        JSAMPROW row = out + stride * cinfo.output_scanline;
+        jpeg_read_scanlines(&cinfo, &row, 1);
+    }
+    jpeg_finish_decompress(&cinfo);
+    clock_gettime(CLOCK_MONOTONIC, &t1);
+
+    printf("P6\n%u %u\n255\n", cinfo.output_width, cinfo.output_height);
+    fwrite(out, 1, stride * cinfo.output_height, stdout);
+    fprintf(stderr, "%.6f\n", (t1.tv_sec - t0.tv_sec) * 1e3 + (t1.tv_nsec - t0.tv_nsec) / 1e6);
+    jpeg_destroy_decompress(&cinfo);
+    free(out);
+    free(in);
+    return 0;
+}
