@@ -12,9 +12,12 @@ freely shareable between threads.
 """
 
 import itertools
+import math
 import struct
 
 import numpy as np
+
+from .codec.quant import round_half_away
 
 _COUNTER = itertools.count()
 
@@ -52,18 +55,8 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
-
-    def backward(self):
-        backward(self)
-
-
-def tensor(data, requires_grad=False):
-    return Tensor(data, requires_grad=requires_grad)
 
 
 def zeros(shape, requires_grad=False):
@@ -273,10 +266,6 @@ def narrow(a, axis, start, length):
     return _result(a.data[idx].copy(), "narrow", (a,), bwd)
 
 
-def round_half_away(x):
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
-
-
 def soft_round(a, alternate_sign=False):
     """Differentiable rounding surrogate.
 
@@ -430,22 +419,43 @@ def save_tensors(named):
     return bytes(out)
 
 
+class CheckpointFormatError(ValueError):
+    """A named-tensor container or checkpoint is truncated or malformed."""
+
+
 def load_tensors(blob, offset=0):
-    """Parse a named-tensor container; returns ({name: ndarray}, end_offset)."""
+    """Parse a named-tensor container; returns ({name: ndarray}, end_offset).
+
+    Every count and length is checked against the bytes left before anything
+    is allocated, so a truncated or corrupt blob raises CheckpointFormatError.
+    """
     pos = offset
-    (count,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
+
+    def take(nbytes, what):
+        nonlocal pos
+        if nbytes > len(blob) - pos:
+            raise CheckpointFormatError(f"named-tensor container truncated in {what}")
+        pos += nbytes
+        return pos - nbytes
+
+    def u32(what):
+        return struct.unpack_from("<I", blob, take(4, what))[0]
+
+    count = u32("the tensor count")
+    # The smallest entry is 12 bytes: name length, rank 1 and one zero dim.
+    if count * 12 > len(blob) - pos:
+        raise CheckpointFormatError(f"{count} tensors cannot fit in {len(blob) - pos} bytes")
     named = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        name = blob[pos : pos + nlen].decode("utf-8")
-        pos += nlen
-        (rank,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        dims = struct.unpack_from(f"<{rank}I", blob, pos)
-        pos += 4 * rank
-        n = int(np.prod(dims)) if rank else 1
-        named[name] = np.frombuffer(blob, dtype="<f8", count=n, offset=pos).reshape(dims).copy()
-        pos += 8 * n
+        nlen = u32("a name length")
+        start = take(nlen, "a tensor name")
+        try:
+            name = blob[start:pos].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointFormatError(f"tensor name is not UTF-8: {exc}") from exc
+        rank = u32(f"the rank of {name!r}")
+        dims = struct.unpack_from(f"<{rank}I", blob, take(4 * rank, f"the dims of {name!r}"))
+        n = math.prod(dims)
+        start = take(8 * n, f"the payload of {name!r}")
+        named[name] = np.frombuffer(blob, dtype="<f8", count=n, offset=start).reshape(dims).copy()
     return named, pos

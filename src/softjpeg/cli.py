@@ -14,6 +14,7 @@ import numpy as np
 
 from . import pipeline as pl
 from . import training as tr
+from .autodiff import CheckpointFormatError
 from .codec import (
     CoefficientRangeError,
     JpegFormatError,
@@ -161,7 +162,7 @@ def main(argv=None):
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (JpegFormatError, PpmFormatError, CoefficientRangeError) as exc:
+    except (JpegFormatError, PpmFormatError, CoefficientRangeError, CheckpointFormatError) as exc:
         print(f"softjpeg: invalid input data: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except OSError as exc:

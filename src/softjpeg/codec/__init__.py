@@ -7,7 +7,7 @@ multiple threads.
 
 from .blocks import BLOCK, CoefficientGrid, assemble_plane, partition_plane
 from .color import rgb_to_ycbcr, ycbcr_to_rgb
-from .dct import DCT_MATRIX, fdct_block, fdct_blocks, idct_block, idct_blocks
+from .dct import DCT_MATRIX, fdct_blocks, idct_blocks
 from .errors import CoefficientRangeError, JpegFormatError
 from .jfif import (
     bits_per_pixel,
@@ -16,16 +16,13 @@ from .jfif import (
     entropy_decode,
     entropy_encode,
     forward_grids,
-    reconstruct_image,
 )
 from .ppm import PpmFormatError, decode_ppm, encode_ppm, read_ppm, write_ppm
 from .quant import (
     CHROMA_BASE_TABLE,
     LUMA_BASE_TABLE,
     QuantTablePair,
-    dequantize_block,
     dequantize_blocks,
-    quantize_block,
     quantize_blocks,
     round_half_away,
     tables_for_quality,
@@ -45,22 +42,17 @@ __all__ = [
     "bits_per_pixel",
     "decode_baseline",
     "decode_ppm",
-    "dequantize_block",
     "dequantize_blocks",
     "encode_baseline",
     "encode_ppm",
     "entropy_decode",
     "entropy_encode",
-    "fdct_block",
     "fdct_blocks",
     "forward_grids",
-    "idct_block",
     "idct_blocks",
     "partition_plane",
-    "quantize_block",
     "quantize_blocks",
     "read_ppm",
-    "reconstruct_image",
     "rgb_to_ycbcr",
     "round_half_away",
     "tables_for_quality",

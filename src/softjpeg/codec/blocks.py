@@ -33,24 +33,20 @@ class CoefficientGrid:
             )
 
 
-def pad_to_blocks(plane):
-    """Pad a plane to multiples of 8 by replicating the last row/column."""
-    h, w = plane.shape
-    ph = (-h) % BLOCK
-    pw = (-w) % BLOCK
-    if ph or pw:
-        plane = np.pad(plane, ((0, ph), (0, pw)), mode="edge")
-    return plane
-
-
 def partition_plane(plane):
-    """Split a plane into level-shifted 8x8 blocks of shape (rows, cols, 8, 8)."""
+    """Split (..., H, W) planes into level-shifted blocks of shape (..., rows, cols, 8, 8).
+
+    Planes are first padded to multiples of 8 by replicating the last row and column.
+    """
     plane = np.asarray(plane, dtype=np.float64)
     if plane.size == 0:
         raise ValueError("cannot partition an empty plane")
-    padded = pad_to_blocks(plane) - LEVEL_SHIFT
-    ph, pw = padded.shape
-    return padded.reshape(ph // BLOCK, BLOCK, pw // BLOCK, BLOCK).transpose(0, 2, 1, 3)
+    pad = [(0, 0)] * (plane.ndim - 2) + [(0, -n % BLOCK) for n in plane.shape[-2:]]
+    if any(after for _, after in pad):
+        plane = np.pad(plane, pad, mode="edge")
+    padded = plane - LEVEL_SHIFT
+    *lead, ph, pw = padded.shape
+    return np.swapaxes(padded.reshape(*lead, ph // BLOCK, BLOCK, pw // BLOCK, BLOCK), -3, -2)
 
 
 def assemble_plane(blocks, height, width):

@@ -20,16 +20,9 @@ def _basis():
 DCT_MATRIX = _basis()
 
 # Flattened-block operators: row-major vec(b) @ FDCT_FLAT == vec(D b D^T).
+# Both DCT forms stay: einsum (codec) and matmul (pipeline) round differently; each is pinned.
 FDCT_FLAT = np.kron(DCT_MATRIX.T, DCT_MATRIX.T)
 IDCT_FLAT = np.kron(DCT_MATRIX, DCT_MATRIX)
-
-
-def fdct_block(block):
-    return DCT_MATRIX @ np.asarray(block, dtype=np.float64) @ DCT_MATRIX.T
-
-
-def idct_block(coeffs):
-    return DCT_MATRIX.T @ np.asarray(coeffs, dtype=np.float64) @ DCT_MATRIX
 
 
 def fdct_blocks(blocks):

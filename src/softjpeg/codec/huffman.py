@@ -196,11 +196,6 @@ class BitReader:
                 return symbol
         raise JpegFormatError("invalid Huffman code in entropy-coded data")
 
-    def align(self):
-        """Drop buffered bits so the next marker can be read at a byte boundary."""
-        self._nbits = 0
-        self._acc = 0
-
 
 def default_codecs():
     """The four default codecs as {(kind, destination): codec}."""

@@ -4,9 +4,9 @@ import struct
 
 import numpy as np
 
-from .blocks import CoefficientGrid, assemble_plane, partition_plane
-from .color import rgb_to_ycbcr, ycbcr_to_rgb
-from .dct import fdct_blocks, idct_blocks
+from .blocks import CoefficientGrid, partition_plane
+from .color import rgb_to_ycbcr
+from .dct import fdct_blocks
 from .errors import CoefficientRangeError, JpegFormatError
 from .huffman import (
     AC_CHROMA_SPEC,
@@ -23,7 +23,7 @@ from .huffman import (
     magnitude_category,
 )
 from .intdecode import integer_idct_samples, ycbcr_samples_to_rgb
-from .quant import QuantTablePair, dequantize_blocks, quantize_blocks
+from .quant import QuantTablePair, quantize_blocks
 
 SOI = 0xD8
 EOI = 0xD9
@@ -414,19 +414,6 @@ def forward_grids(rgb, tables=None):
             coeffs = quantize_blocks(coeffs, tables.for_channel(channel))
         grids.append(CoefficientGrid(channel, coeffs, height, width))
     return tuple(grids)
-
-
-def reconstruct_image(grids, tables):
-    """Dequantize integer grids, invert the DCT, and return an RGB raster.
-
-    Float transform path; planes are clamped to [0, 255] before the color
-    conversion, as on the byte-oriented decode side.
-    """
-    planes = []
-    for grid in grids:
-        blocks = idct_blocks(dequantize_blocks(grid.blocks, tables.for_channel(grid.channel)))
-        planes.append(np.clip(assemble_plane(blocks, grid.height, grid.width), 0.0, 255.0))
-    return ycbcr_to_rgb(np.stack(planes, axis=-1))
 
 
 def encode_baseline(rgb, tables):

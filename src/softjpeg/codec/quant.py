@@ -73,14 +73,10 @@ def round_half_away(x):
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
-def quantize_block(coeffs, table):
+def quantize_blocks(coeffs, table):
+    """Quantize (..., 8, 8) coefficient blocks by an 8x8 divisor table."""
     return round_half_away(np.asarray(coeffs, dtype=np.float64) / table).astype(np.int64)
 
 
-def dequantize_block(quantized, table):
+def dequantize_blocks(quantized, table):
     return np.asarray(quantized, dtype=np.float64) * table
-
-
-# The block forms broadcast over leading axes, so grids work unchanged.
-quantize_blocks = quantize_block
-dequantize_blocks = dequantize_block

@@ -10,6 +10,7 @@ sklearn import is needed.
 """
 
 import inspect
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -97,24 +98,10 @@ class LearnedJpeg:
         return self
 
     def _train_config(self):
-        return tr.TrainConfig(
-            steps=self.steps,
-            batch_size=self.batch_size,
-            patch_size=self.patch_size,
-            num_patches=self.num_patches,
-            lr0=self.lr0,
-            lr_end=self.lr_end,
-            decay_power=self.decay_power,
-            table_lr_scale=self.table_lr_scale,
-            seed=self.seed,
-            hidden_size=self.hidden_size,
-            kwta_k=self.kwta_k,
-            refine_steps=self.refine_steps,
-            table_scale=self.table_scale,
-            soft_round_alternate=self.soft_round_alternate,
-            loss=LossConfig(lam=self.lam, gamma=self.gamma, sigma=self.sigma,
-                            alpha=self.alpha, beta=self.beta),
-        )
+        def values(cls):
+            return {f.name: getattr(self, f.name) for f in fields(cls) if f.name != "loss"}
+
+        return tr.TrainConfig(loss=LossConfig(**values(LossConfig)), **values(tr.TrainConfig))
 
     def fit(self, X, y=None):
         """Train on a directory of P6 images or a list of (H, W, 3) rasters."""
@@ -165,16 +152,8 @@ class LearnedJpeg:
         """Rebuild a fitted estimator from a training checkpoint."""
         ckpt = tr.load_checkpoint(path)
         cfg = ckpt.config
-        est = cls(
-            steps=cfg.steps, batch_size=cfg.batch_size, patch_size=cfg.patch_size,
-            num_patches=cfg.num_patches, lr0=cfg.lr0, lr_end=cfg.lr_end,
-            decay_power=cfg.decay_power, table_lr_scale=cfg.table_lr_scale,
-            hidden_size=cfg.hidden_size, kwta_k=cfg.kwta_k,
-            refine_steps=cfg.refine_steps, table_scale=cfg.table_scale,
-            soft_round_alternate=cfg.soft_round_alternate,
-            lam=cfg.loss.lam, gamma=cfg.loss.gamma, sigma=cfg.loss.sigma,
-            alpha=cfg.loss.alpha, beta=cfg.loss.beta, seed=cfg.seed,
-        )
+        values = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "loss"}
+        est = cls(**values, **asdict(cfg.loss))
         est.params_ = ckpt.params
         est.adam_ = ckpt.adam
         est.config_ = cfg

@@ -165,14 +165,10 @@ def _pad_batch(images):
 
 def _batch_coefficient_rows(padded):
     """DCT coefficients of every block: channel -> (B*rows*cols, 64) array."""
-    b, hp, wp = padded.shape[:3]
-    rows, cols = hp // 8, wp // 8
-    out = {}
-    for ci, channel in enumerate(CHANNELS):
-        blocks = np.stack([partition_plane(rgb_to_ycbcr(img)[:, :, ci]) for img in padded])
-        flat = blocks.reshape(b * rows * cols, 64)
-        out[channel] = flat @ FDCT_FLAT
-    return out, (b, rows, cols)
+    ycc = rgb_to_ycbcr(padded)
+    blocks = {channel: partition_plane(ycc[..., ci]) for ci, channel in enumerate(CHANNELS)}
+    rows = {channel: grid.reshape(-1, 64) @ FDCT_FLAT for channel, grid in blocks.items()}
+    return rows, blocks["Y"].shape[:3]
 
 
 def compute_edit_scores(padded, params, config):
@@ -261,12 +257,18 @@ def measure_bpp(grids, tables_pair):
     return bits_per_pixel(stream, grids[0].width, grids[0].height)
 
 
-def forward(images, params, config, rounding="soft", measure_rate=False):
-    """Full pipeline: edit scores -> quantize -> decode; optionally bpp."""
+def _encode_rows(images, params, config, rounding):
+    """The encoder half shared by forward and encode_stream."""
     padded, height, width = _pad_batch(images)
     scores = compute_edit_scores(padded, params, config)
     coeff_rows, geometry = _batch_coefficient_rows(padded)
     quantized = quantize_rows(coeff_rows, scores, params, config, rounding)
+    return quantized, scores, geometry, height, width
+
+
+def forward(images, params, config, rounding="soft", measure_rate=False):
+    """Full pipeline: edit scores -> quantize -> decode; optionally bpp."""
+    quantized, scores, geometry, height, width = _encode_rows(images, params, config, rounding)
     reconstruction = decode_rows(quantized, params, config, geometry, height, width)
 
     bpp = None
@@ -278,9 +280,6 @@ def forward(images, params, config, rounding="soft", measure_rate=False):
 
 def encode_stream(image, params, config):
     """Hard-round one image through the learned pipeline into a JFIF stream."""
-    padded, height, width = _pad_batch(image)
-    scores = compute_edit_scores(padded, params, config)
-    coeff_rows, geometry = _batch_coefficient_rows(padded)
-    quantized = quantize_rows(coeff_rows, scores, params, config, rounding="hard")
+    quantized, _, geometry, height, width = _encode_rows(image, params, config, "hard")
     grids = hard_grids(quantized, geometry, height, width)[0]
     return entropy_encode(grids, export_tables(params.tables))

@@ -4,13 +4,13 @@ checkpointing, plus evaluation sweeps against the baseline codec."""
 import json
 import os
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from . import pipeline as pl
-from .autodiff import Tensor, load_tensors, save_tensors
+from .autodiff import CheckpointFormatError, Tensor, load_tensors, save_tensors
 from .codec import bits_per_pixel, decode_baseline, encode_baseline, read_ppm, tables_for_quality
 from .editor import stem_forward
 from .losses import CSV_HEADER, LossConfig, loss_terms, msssim, msssim_db, psnr, ssim
@@ -42,8 +42,8 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
-        if isinstance(self.loss, dict):
-            self.loss = LossConfig(**self.loss)
+        if not isinstance(self.loss, LossConfig):
+            self.loss = _config_from_dict(LossConfig, self.loss)
         if self.patch_size % 8:
             raise ValueError(f"patch_size must be a multiple of 8, got {self.patch_size}")
         if self.batch_size < 1:
@@ -55,20 +55,25 @@ class TrainConfig:
 
     @property
     def pipeline(self):
-        return pl.PipelineConfig(
-            hidden_size=self.hidden_size,
-            kwta_k=self.kwta_k,
-            refine_steps=self.refine_steps,
-            table_scale=self.table_scale,
-            soft_round_alternate=self.soft_round_alternate,
-        )
+        return pl.PipelineConfig(**{f.name: getattr(self, f.name)
+                                    for f in fields(pl.PipelineConfig)})
 
     def to_dict(self):
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data):
-        return cls(**data)
+        return _config_from_dict(cls, data)
+
+
+def _config_from_dict(cls, data):
+    """Build a config dataclass from a JSON object, naming any unknown keys."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    return cls(**data)
 
 
 @dataclass
@@ -284,21 +289,28 @@ def checkpoint_bytes(ckpt):
 
 
 def checkpoint_from_bytes(blob):
+    """Parse a checkpoint; a truncated or malformed blob raises CheckpointFormatError."""
     named, end = load_tensors(blob)
-    trailer = json.loads(blob[end:].decode("utf-8"))
-    if trailer.get("format") != _CHECKPOINT_FORMAT:
-        raise ValueError(f"not a {_CHECKPOINT_FORMAT} checkpoint")
-    config = TrainConfig.from_dict(trailer["config"])
-    params = pl.params_from_named(named, config.pipeline)
-    adam = AdamState(
-        m={n: named[f"adam.m.{n}"] for n in params.named()},
-        v={n: named[f"adam.v.{n}"] for n in params.named()},
-        step=trailer["adam"]["step"],
-        beta1=trailer["adam"]["beta1"],
-        beta2=trailer["adam"]["beta2"],
-        eps=trailer["adam"]["eps"],
-    )
-    return TrainingCheckpoint(params, adam, config, trailer["step"])
+    try:
+        trailer = json.loads(blob[end:].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise CheckpointFormatError(f"unreadable checkpoint trailer: {exc}") from exc
+    if not isinstance(trailer, dict) or trailer.get("format") != _CHECKPOINT_FORMAT:
+        raise CheckpointFormatError(f"not a {_CHECKPOINT_FORMAT} checkpoint")
+    try:
+        config = TrainConfig.from_dict(trailer["config"])
+        params = pl.params_from_named(named, config.pipeline)
+        adam = AdamState(
+            m={n: named[f"adam.m.{n}"] for n in params.named()},
+            v={n: named[f"adam.v.{n}"] for n in params.named()},
+            step=trailer["adam"]["step"],
+            beta1=trailer["adam"]["beta1"],
+            beta2=trailer["adam"]["beta2"],
+            eps=trailer["adam"]["eps"],
+        )
+        return TrainingCheckpoint(params, adam, config, trailer["step"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"malformed checkpoint: {exc!r}") from exc
 
 
 def save_checkpoint(ckpt, path):

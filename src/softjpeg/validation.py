@@ -52,10 +52,3 @@ def check_data_source(X):
             raise ValueError(f"{path!r} is not a directory")
         return "dir", path
     return "images", check_image_list(X)
-
-
-def check_quality(quality):
-    q = int(quality)
-    if not 1 <= q <= 100:
-        raise ValueError(f"quality must be in [1, 100], got {quality}")
-    return q

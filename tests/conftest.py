@@ -1,5 +1,12 @@
+import io
+import os
+import subprocess
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+from softjpeg.codec import decode_ppm
 
 
 def make_natural_image(height, width, seed=7):
@@ -28,3 +35,44 @@ def natural_image():
 @pytest.fixture(scope="session")
 def small_image():
     return make_natural_image(120, 184, seed=7)
+
+
+@pytest.fixture(scope="session")
+def stock_decode(tmp_path_factory):
+    """Decode a JFIF stream to an (H, W, 3) raster with a stock decoder.
+
+    Pillow when it is installed; otherwise the system libjpeg through the
+    ``refdecode.c`` client, compiled once per session.  Tests that use this
+    skip, with the reason, when neither is available.
+    """
+    try:
+        from PIL import Image
+    except ImportError:
+        pass
+    else:
+        def pillow_decode(stream):
+            with Image.open(io.BytesIO(stream)) as image:
+                return np.asarray(image.convert("RGB"))
+
+        return pillow_decode
+
+    work = tmp_path_factory.mktemp("refdecode")
+    exe = work / "refdecode"
+    build = ["gcc", "-O2", "-o", str(exe), str(Path(__file__).with_name("refdecode.c")), "-ljpeg"]
+    try:
+        done = subprocess.run(build, env=dict(os.environ, TMPDIR=str(work)),
+                              capture_output=True, text=True, timeout=120)
+    except (OSError, subprocess.TimeoutExpired) as exc:
+        pytest.skip(f"no stock JPEG decoder: Pillow is missing and gcc could not run: {exc}")
+    if done.returncode != 0:
+        pytest.skip("no stock JPEG decoder: Pillow is missing and gcc -ljpeg failed: "
+                    + done.stderr.strip()[-300:])
+
+    def libjpeg_decode(stream):
+        done = subprocess.run([str(exe)], input=stream, capture_output=True, timeout=60)
+        if done.returncode != 0:
+            raise ValueError(f"libjpeg rejected the stream (exit {done.returncode}): "
+                             + done.stderr.decode(errors="replace").strip())
+        return decode_ppm(done.stdout)
+
+    return libjpeg_decode

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from softjpeg import autodiff as ad
 from softjpeg.autodiff import Tensor
+from softjpeg.codec import round_half_away
 
 
 def leaf(data):
@@ -93,7 +96,7 @@ def test_soft_round_alternate_sign():
 @settings(max_examples=300, deadline=None)
 def test_soft_round_within_eighth_of_hard(value):
     soft = ad.soft_round(Tensor([value])).data[0]
-    hard = ad.round_half_away(np.array([value]))[0]
+    hard = round_half_away(np.array([value]))[0]
     assert abs(soft - hard) <= 0.125 + 1e-12
 
 
@@ -259,3 +262,19 @@ def test_container_parses_with_trailing_payload():
     loaded, end = ad.load_tensors(blob)
     assert np.array_equal(loaded["a"], np.ones(3))
     assert blob[end:] == b'{"extra": 1}'
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        struct.pack("<I", 2**32 - 1),  # tensor count
+        struct.pack("<2I", 1, 2**32 - 1) + bytes(16),  # name length
+        struct.pack("<2I", 1, 1) + b"\xff" + struct.pack("<I", 0) + bytes(8),  # name not UTF-8
+        struct.pack("<2I", 1, 1) + b"a" + struct.pack("<I", 2**32 - 1) + bytes(16),  # rank
+        struct.pack("<2I", 1, 1) + b"a" + struct.pack("<3I", 2, 2**32 - 1, 2**32 - 1)
+        + bytes(16),  # dims
+    ],
+)
+def test_container_rejects_corrupt_header_before_allocating(blob):
+    with pytest.raises(ad.CheckpointFormatError):
+        ad.load_tensors(blob)

@@ -148,3 +148,23 @@ def test_eval_writes_csv_with_schema_header(trained, tmp_path, capsys):
     assert lines[0] == CSV_HEADER
     assert len(lines) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("keep", [3, 100, 0.5])
+def test_truncated_checkpoint_exits_3(trained, tmp_path, capsys, keep):
+    _, ckpt = trained
+    blob = ckpt.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(blob[: int(len(blob) * keep) if keep < 1 else keep])
+    assert main(["qtable", "--checkpoint", str(cut)]) == 3
+    assert "invalid input data" in capsys.readouterr().err
+
+
+def test_config_with_unknown_key_exits_1(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"steps": 1, "stepz": 2}))
+    assert main(["train", "--data", str(data), "--config", str(cfg_path),
+                 "--out", str(tmp_path / "model.ckpt")]) == 1
+    assert "stepz" in capsys.readouterr().err

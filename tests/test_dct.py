@@ -1,6 +1,6 @@
 import numpy as np
 
-from softjpeg.codec import DCT_MATRIX, fdct_block, fdct_blocks, idct_block, idct_blocks
+from softjpeg.codec import DCT_MATRIX, fdct_blocks, idct_blocks
 
 
 def naive_fdct(block):
@@ -27,12 +27,12 @@ def test_basis_is_orthogonal():
 
 
 def test_zero_block_maps_to_zero():
-    assert np.all(fdct_block(np.zeros((8, 8))) == 0.0)
-    assert np.all(idct_block(np.zeros((8, 8))) == 0.0)
+    assert np.all(fdct_blocks(np.zeros((8, 8))) == 0.0)
+    assert np.all(idct_blocks(np.zeros((8, 8))) == 0.0)
 
 
 def test_constant_two_block_has_dc_16():
-    coeffs = fdct_block(np.full((8, 8), 2.0))
+    coeffs = fdct_blocks(np.full((8, 8), 2.0))
     assert abs(coeffs[0, 0] - 16.0) < 1e-12
     ac = coeffs.copy()
     ac[0, 0] = 0.0
@@ -42,13 +42,13 @@ def test_constant_two_block_has_dc_16():
 def test_dc_only_inverts_to_constant_block():
     coeffs = np.zeros((8, 8))
     coeffs[0, 0] = 16.0
-    assert np.allclose(idct_block(coeffs), 2.0, atol=1e-12)
+    assert np.allclose(idct_blocks(coeffs), 2.0, atol=1e-12)
 
 
 def test_matches_direct_double_sum():
     rng = np.random.default_rng(3)
     block = rng.uniform(-128, 127, (8, 8))
-    assert np.allclose(fdct_block(block), naive_fdct(block), atol=1e-10)
+    assert np.allclose(fdct_blocks(block), naive_fdct(block), atol=1e-10)
 
 
 def test_roundtrip_1000_random_blocks_below_1e10():

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from softjpeg.codec import (
     QuantTablePair,
-    dequantize_block,
-    quantize_block,
+    dequantize_blocks,
+    quantize_blocks,
     round_half_away,
     tables_for_quality,
 )
@@ -14,12 +14,12 @@ from softjpeg.codec.quant import CHROMA_BASE_TABLE, LUMA_BASE_TABLE
 
 
 def test_simple_division():
-    assert quantize_block(np.full((8, 8), 100.0), np.full((8, 8), 10))[0, 0] == 10
+    assert quantize_blocks(np.full((8, 8), 100.0), np.full((8, 8), 10))[0, 0] == 10
 
 
 def test_negative_half_rounds_away_from_zero():
     # -26/16 = -1.625 rounds to -2.
-    assert quantize_block(np.full((8, 8), -26.0), np.full((8, 8), 16))[0, 0] == -2
+    assert quantize_blocks(np.full((8, 8), -26.0), np.full((8, 8), 16))[0, 0] == -2
     assert round_half_away(np.array([0.5, -0.5, 1.5, -1.5])).tolist() == [1, -1, 2, -2]
 
 
@@ -28,7 +28,7 @@ def test_negative_half_rounds_away_from_zero():
 def test_identity_table_roundtrip_error_at_most_half(value):
     table = np.ones((8, 8), dtype=np.int64)
     block = np.full((8, 8), value)
-    back = dequantize_block(quantize_block(block, table), table)
+    back = dequantize_blocks(quantize_blocks(block, table), table)
     assert np.abs(back - block).max() <= 0.5
 
 

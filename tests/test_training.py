@@ -4,7 +4,7 @@ import pytest
 
 from softjpeg import pipeline as pl
 from softjpeg import training as tr
-from softjpeg.autodiff import Tensor
+from softjpeg.autodiff import CheckpointFormatError, Tensor, load_tensors
 from softjpeg.codec import decode_baseline, encode_baseline, tables_for_quality, write_ppm
 from softjpeg.losses import CSV_HEADER, psnr
 from tests.conftest import make_natural_image
@@ -174,6 +174,51 @@ def test_checkpoint_roundtrip_bit_exact():
         assert np.array_equal(loaded.params.named()[name].data, t.data)
     assert loaded.adam.step == ckpt.adam.step
     assert loaded.config == cfg
+
+
+def tiny_checkpoint_bytes():
+    """A complete checkpoint whose tensors all hold one value: a few KB."""
+    cfg = quick_config()
+    names = pl.init_pipeline(cfg.pipeline).named()
+    params = pl.params_from_named({name: np.ones(1) for name in names}, cfg.pipeline)
+    return tr.checkpoint_bytes(tr.TrainingCheckpoint(params, tr.init_adam(params.named()),
+                                                     cfg, 0))
+
+
+def test_every_truncated_checkpoint_raises_checkpoint_format_error():
+    blob = tiny_checkpoint_bytes()
+    assert tr.checkpoint_from_bytes(blob).step == 0
+    for end in range(len(blob)):
+        with pytest.raises(CheckpointFormatError):
+            tr.checkpoint_from_bytes(blob[:end])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda trailer: b"[]",
+        lambda trailer: b"\xff",
+        lambda trailer: trailer.replace(b', "step": 0}', b"}"),
+        lambda trailer: trailer.replace(b'"steps": 6', b'"stepz": 6'),
+    ],
+    ids=["not-an-object", "not-utf8", "missing-step", "unknown-config-key"],
+)
+def test_malformed_checkpoint_trailer_raises_checkpoint_format_error(edit):
+    blob = tiny_checkpoint_bytes()
+    end = load_tensors(blob)[1]
+    trailer = edit(blob[end:])
+    assert trailer != blob[end:]
+    with pytest.raises(CheckpointFormatError):
+        tr.checkpoint_from_bytes(blob[:end] + trailer)
+
+
+def test_config_from_dict_names_unknown_keys():
+    with pytest.raises(ValueError, match="stepz"):
+        tr.TrainConfig.from_dict({"steps": 2, "stepz": 3})
+    with pytest.raises(ValueError, match="lamda"):
+        tr.TrainConfig.from_dict({"loss": {"lamda": 0.5}})
+    with pytest.raises(ValueError, match="JSON object"):
+        tr.TrainConfig.from_dict({"loss": 5})
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):
