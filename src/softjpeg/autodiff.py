@@ -12,8 +12,6 @@ freely shareable between threads.
 """
 
 import itertools
-import math
-import struct
 
 import numpy as np
 
@@ -358,20 +356,6 @@ def conv2d(x, w, bias=None, stride=1, padding=0):
     return _result(out, "conv2d", parents, bwd)
 
 
-def avg_pool2d(x, k):
-    """Non-overlapping k x k average pooling over the trailing two axes."""
-    if x.data.ndim != 4 or x.shape[2] % k or x.shape[3] % k:
-        raise ShapeError("avg_pool2d", x.shape, (k, k))
-    B, C, H, W = x.shape
-    y = x.data.reshape(B, C, H // k, k, W // k, k).mean(axis=(3, 5))
-
-    def bwd(g):
-        up = np.repeat(np.repeat(g, k, axis=2), k, axis=3) / (k * k)
-        _accumulate(x, up)
-
-    return _result(y, "avg_pool2d", (x,), bwd)
-
-
 def grad_check(fn, x, eps=1e-4):
     """Compare analytic gradients of a scalar-valued closure to central differences.
 
@@ -398,64 +382,3 @@ def grad_check(fn, x, eps=1e-4):
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))
-
-
-# --- named-tensor container ------------------------------------------------
-#
-# Layout (all integers little-endian uint32):
-#   count, then per tensor: name length, name bytes (utf-8), rank, dims...,
-#   float64 little-endian payload.
-
-
-def save_tensors(named):
-    out = bytearray(struct.pack("<I", len(named)))
-    for name, value in named.items():
-        data = value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
-        encoded = name.encode("utf-8")
-        out += struct.pack("<I", len(encoded)) + encoded
-        out += struct.pack("<I", data.ndim)
-        out += struct.pack(f"<{data.ndim}I", *data.shape)
-        out += np.ascontiguousarray(data, dtype="<f8").tobytes()
-    return bytes(out)
-
-
-class CheckpointFormatError(ValueError):
-    """A named-tensor container or checkpoint is truncated or malformed."""
-
-
-def load_tensors(blob, offset=0):
-    """Parse a named-tensor container; returns ({name: ndarray}, end_offset).
-
-    Every count and length is checked against the bytes left before anything
-    is allocated, so a truncated or corrupt blob raises CheckpointFormatError.
-    """
-    pos = offset
-
-    def take(nbytes, what):
-        nonlocal pos
-        if nbytes > len(blob) - pos:
-            raise CheckpointFormatError(f"named-tensor container truncated in {what}")
-        pos += nbytes
-        return pos - nbytes
-
-    def u32(what):
-        return struct.unpack_from("<I", blob, take(4, what))[0]
-
-    count = u32("the tensor count")
-    # The smallest entry is 12 bytes: name length, rank 1 and one zero dim.
-    if count * 12 > len(blob) - pos:
-        raise CheckpointFormatError(f"{count} tensors cannot fit in {len(blob) - pos} bytes")
-    named = {}
-    for _ in range(count):
-        nlen = u32("a name length")
-        start = take(nlen, "a tensor name")
-        try:
-            name = blob[start:pos].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointFormatError(f"tensor name is not UTF-8: {exc}") from exc
-        rank = u32(f"the rank of {name!r}")
-        dims = struct.unpack_from(f"<{rank}I", blob, take(4 * rank, f"the dims of {name!r}"))
-        n = math.prod(dims)
-        start = take(8 * n, f"the payload of {name!r}")
-        named[name] = np.frombuffer(blob, dtype="<f8", count=n, offset=start).reshape(dims).copy()
-    return named, pos

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import pipeline as pl
 from . import training as tr
-from .autodiff import CheckpointFormatError
 from .codec import (
     CoefficientRangeError,
     JpegFormatError,
@@ -123,7 +122,7 @@ def cmd_train(args):
             config = tr.TrainConfig.from_dict(json.load(fh))
     else:
         config = tr.TrainConfig()
-    print("step,loss,d,r,al,lr")
+    print(tr.TRAIN_LOG_HEADER)
     tr.train(config, args.data, args.out, log=print)
     print(f"checkpoint written to {args.out}")
     return EXIT_OK
@@ -162,7 +161,8 @@ def main(argv=None):
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (JpegFormatError, PpmFormatError, CoefficientRangeError, CheckpointFormatError) as exc:
+    except (JpegFormatError, PpmFormatError, CoefficientRangeError,
+            tr.CheckpointFormatError) as exc:
         print(f"softjpeg: invalid input data: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except OSError as exc:

@@ -18,19 +18,17 @@ ZIGZAG = np.array(
     ]
 )
 
-# Default table specs: (code lengths 1..16, symbol values).
-DC_LUMA_SPEC = (
-    bytes([0, 1, 5, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0]),
-    bytes(range(12)),
-)
-DC_CHROMA_SPEC = (
-    bytes([0, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0]),
-    bytes(range(12)),
-)
-AC_LUMA_SPEC = (
-    bytes([0, 2, 1, 3, 3, 2, 4, 3, 5, 5, 4, 4, 0, 0, 1, 125]),
-    bytes(
-        [
+# Default table specs, (code lengths 1..16, symbol values), by (table class,
+# destination): class 0 is DC and 1 AC; destination 0 codes Y, 1 Cb and Cr.
+# The DHT segment lists them in this order.
+DEFAULT_SPECS = {
+    (0, 0): (
+        bytes([0, 1, 5, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0]),
+        bytes(range(12)),
+    ),
+    (1, 0): (
+        bytes([0, 2, 1, 3, 3, 2, 4, 3, 5, 5, 4, 4, 0, 0, 1, 125]),
+        bytes([
             0x01, 0x02, 0x03, 0x00, 0x04, 0x11, 0x05, 0x12, 0x21, 0x31, 0x41, 0x06,
             0x13, 0x51, 0x61, 0x07, 0x22, 0x71, 0x14, 0x32, 0x81, 0x91, 0xA1, 0x08,
             0x23, 0x42, 0xB1, 0xC1, 0x15, 0x52, 0xD1, 0xF0, 0x24, 0x33, 0x62, 0x72,
@@ -45,13 +43,15 @@ AC_LUMA_SPEC = (
             0xCA, 0xD2, 0xD3, 0xD4, 0xD5, 0xD6, 0xD7, 0xD8, 0xD9, 0xDA, 0xE1, 0xE2,
             0xE3, 0xE4, 0xE5, 0xE6, 0xE7, 0xE8, 0xE9, 0xEA, 0xF1, 0xF2, 0xF3, 0xF4,
             0xF5, 0xF6, 0xF7, 0xF8, 0xF9, 0xFA,
-        ]
+        ]),
     ),
-)
-AC_CHROMA_SPEC = (
-    bytes([0, 2, 1, 2, 4, 4, 3, 4, 7, 5, 4, 4, 0, 1, 2, 119]),
-    bytes(
-        [
+    (0, 1): (
+        bytes([0, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0]),
+        bytes(range(12)),
+    ),
+    (1, 1): (
+        bytes([0, 2, 1, 2, 4, 4, 3, 4, 7, 5, 4, 4, 0, 1, 2, 119]),
+        bytes([
             0x00, 0x01, 0x02, 0x03, 0x11, 0x04, 0x05, 0x21, 0x31, 0x06, 0x12, 0x41,
             0x51, 0x07, 0x61, 0x71, 0x13, 0x22, 0x32, 0x81, 0x08, 0x14, 0x42, 0x91,
             0xA1, 0xB1, 0xC1, 0x09, 0x23, 0x33, 0x52, 0xF0, 0x15, 0x62, 0x72, 0xD1,
@@ -66,9 +66,9 @@ AC_CHROMA_SPEC = (
             0xC8, 0xC9, 0xCA, 0xD2, 0xD3, 0xD4, 0xD5, 0xD6, 0xD7, 0xD8, 0xD9, 0xDA,
             0xE2, 0xE3, 0xE4, 0xE5, 0xE6, 0xE7, 0xE8, 0xE9, 0xEA, 0xF2, 0xF3, 0xF4,
             0xF5, 0xF6, 0xF7, 0xF8, 0xF9, 0xFA,
-        ]
+        ]),
     ),
-)
+}
 
 
 class HuffmanCodec:
@@ -196,12 +196,3 @@ class BitReader:
                 return symbol
         raise JpegFormatError("invalid Huffman code in entropy-coded data")
 
-
-def default_codecs():
-    """The four default codecs as {(kind, destination): codec}."""
-    return {
-        ("dc", 0): HuffmanCodec(*DC_LUMA_SPEC),
-        ("ac", 0): HuffmanCodec(*AC_LUMA_SPEC),
-        ("dc", 1): HuffmanCodec(*DC_CHROMA_SPEC),
-        ("ac", 1): HuffmanCodec(*AC_CHROMA_SPEC),
-    }

@@ -24,10 +24,10 @@ _F3_072711026 = 25172
 
 
 def _idct_1d(col, rounding, out_shift):
-    """Shared even/odd butterfly for one pass over 8 lanes.
+    """Shared even/odd butterfly for one pass over the 8 lanes on axis 0.
 
-    ``col`` is a list of eight (N,) int64 arrays (already dequantized for
-    pass 1).  Returns the eight output lanes, descaled by ``out_shift``.
+    ``col`` is an (8, ...) int64 array (already dequantized for pass 1).
+    Returns the (8, ...) output lanes, descaled by ``out_shift``.
     """
     z2, z3 = col[2], col[6]
     z1 = (z2 + z3) * _F0_541196100
@@ -51,7 +51,7 @@ def _idct_1d(col, rounding, out_shift):
     t1 = t1 * _F2_053119869 + z1 + z3
     t2 = t2 * _F3_072711026 + z1 + z2
 
-    return [
+    return np.stack([
         (t10 + t3) >> out_shift,
         (t11 + t2) >> out_shift,
         (t12 + t1) >> out_shift,
@@ -60,7 +60,7 @@ def _idct_1d(col, rounding, out_shift):
         (t12 - t1) >> out_shift,
         (t11 - t2) >> out_shift,
         (t10 - t3) >> out_shift,
-    ]
+    ])
 
 
 def integer_idct_samples(blocks, table):
@@ -69,24 +69,13 @@ def integer_idct_samples(blocks, table):
     ``blocks`` is (..., 8, 8) int; ``table`` an (8, 8) integer quantization
     table.  Returns samples of the same shape, level shift undone.
     """
-    shape = blocks.shape
-    c = blocks.reshape(-1, 64).astype(np.int64)
-    q = np.asarray(table, dtype=np.int64).reshape(64)
-
-    ws = [None] * 64
-    for i in range(8):
-        col = [c[:, 8 * r + i] * q[8 * r + i] for r in range(8)]
-        out = _idct_1d(col, 1024, 11)
-        for r in range(8):
-            ws[8 * r + i] = out[r]
-    samples = np.empty_like(c)
-    for i in range(0, 64, 8):
-        row = [ws[i + j] for j in range(8)]
-        out = _idct_1d(row, 16 << 13, 18)
-        for j in range(8):
-            samples[:, i + j] = out[j]
-
-    return np.clip(samples + 128, 0, 255).reshape(shape)
+    c = blocks.reshape(-1, 8, 8).astype(np.int64)
+    c *= np.asarray(table, dtype=np.int64).reshape(8, 8)  # in place: no second plane copy
+    # Pass 1 runs down the columns (lanes = rows r), pass 2 along the rows
+    # (lanes = columns j); the lane axis leads in each: (r, N, j), then (j, N, r).
+    ws = _idct_1d(c.transpose(1, 0, 2), 1024, 11)
+    samples = _idct_1d(ws.transpose(2, 1, 0), 16 << 13, 18).transpose(1, 2, 0)
+    return np.clip(samples + 128, 0, 255).reshape(blocks.shape)
 
 
 def ycbcr_samples_to_rgb(y, cb, cr):

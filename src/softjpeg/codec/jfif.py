@@ -9,15 +9,11 @@ from .color import rgb_to_ycbcr
 from .dct import fdct_blocks
 from .errors import CoefficientRangeError, JpegFormatError
 from .huffman import (
-    AC_CHROMA_SPEC,
-    AC_LUMA_SPEC,
-    DC_CHROMA_SPEC,
-    DC_LUMA_SPEC,
+    DEFAULT_SPECS,
     ZIGZAG,
     BitReader,
     BitWriter,
     HuffmanCodec,
-    default_codecs,
     extend_magnitude,
     magnitude_bits,
     magnitude_category,
@@ -64,13 +60,8 @@ def _sof0_segment(height, width):
 
 def _dht_segment():
     payload = b""
-    for cls_dest, (lengths, values) in (
-        (0x00, DC_LUMA_SPEC),
-        (0x10, AC_LUMA_SPEC),
-        (0x01, DC_CHROMA_SPEC),
-        (0x11, AC_CHROMA_SPEC),
-    ):
-        payload += bytes([cls_dest]) + lengths + values
+    for (cls, dest), (lengths, values) in DEFAULT_SPECS.items():
+        payload += bytes([cls << 4 | dest]) + lengths + values
     return _segment(DHT, payload)
 
 
@@ -137,7 +128,7 @@ def entropy_encode(grids, tables):
     _check_coefficient_range(grids)
 
     rows, cols = y.blocks.shape[:2]
-    codecs = default_codecs()
+    codecs = {key: HuffmanCodec(*spec) for key, spec in DEFAULT_SPECS.items()}
     writer = BitWriter()
     prev_dc = [0, 0, 0]
     # Zigzag-ordered Python int lists: much faster in the symbol loop below.
@@ -151,8 +142,7 @@ def entropy_encode(grids, tables):
             for ci in range(3):
                 dest = dests[ci]
                 prev_dc[ci] = _encode_block(
-                    writer, zz_all[ci][r][c], prev_dc[ci],
-                    codecs[("dc", dest)], codecs[("ac", dest)],
+                    writer, zz_all[ci][r][c], prev_dc[ci], codecs[0, dest], codecs[1, dest],
                 )
 
     head = (
@@ -321,8 +311,7 @@ class _StreamParser:
                 raise JpegFormatError("DHT segment length mismatch")
             values = payload[pos : pos + count]
             pos += count
-            kind = "dc" if cls == 0 else "ac"
-            self.hcodecs[(kind, dest)] = HuffmanCodec(lengths, values)
+            self.hcodecs[cls, dest] = HuffmanCodec(lengths, values)
         if pos != len(payload):
             raise JpegFormatError("DHT segment length mismatch")
 
@@ -362,24 +351,28 @@ def entropy_decode(data):
     for channel, (qdest, dc_dest, ac_dest) in zip(CHANNELS, parser.scan_dests):
         if qdest not in parser.qtables:
             raise JpegFormatError(f"missing quantization table {qdest}")
-        dc = parser.hcodecs.get(("dc", dc_dest))
-        ac = parser.hcodecs.get(("ac", ac_dest))
+        dc = parser.hcodecs.get((0, dc_dest))
+        ac = parser.hcodecs.get((1, ac_dest))
         if dc is None or ac is None:
             raise JpegFormatError(f"missing Huffman tables for component {channel}")
         comps.append((channel, qdest, dc, ac))
+    luma, cb, cr = (parser.qtables[qdest] for _, qdest, _, _ in comps)
+    if not np.array_equal(cb, cr):
+        raise JpegFormatError("Cb and Cr must share one quantization table")
+    # Every block takes at least a 1-bit DC code and a 1-bit EOB, so each
+    # 3-block MCU needs 6 bits of scan: check before allocating the grids.
+    scan_bytes = len(parser.data) - parser.pos
+    if 8 * scan_bytes < 6 * rows * cols:
+        raise JpegFormatError(f"a {scan_bytes}-byte scan cannot hold {rows}x{cols} MCUs")
 
     reader = BitReader(parser.data, parser.pos)
     blocks = [np.zeros((rows, cols, 64), dtype=np.int64) for _ in comps]
     prev_dc = [0, 0, 0]
-    zz_to_natural = ZIGZAG
     for r in range(rows):
         for c in range(cols):
             for ci, (_, _, dc_codec, ac_codec) in enumerate(comps):
                 zz, prev_dc[ci] = _decode_block(reader, prev_dc[ci], dc_codec, ac_codec)
-                block = blocks[ci][r, c]
-                for k, v in enumerate(zz):
-                    if v:
-                        block[zz_to_natural[k]] = v
+                blocks[ci][r, c, ZIGZAG] = zz
 
     # Skip padding and fill bytes, then demand EOI.
     pos = reader.pos
@@ -392,10 +385,7 @@ def entropy_decode(data):
         CoefficientGrid(channel, blocks[ci].reshape(rows, cols, 8, 8), height, width)
         for ci, (channel, _, _, _) in enumerate(comps)
     )
-    luma_dest = comps[0][1]
-    chroma_dest = comps[1][1]
-    tables = QuantTablePair(parser.qtables[luma_dest], parser.qtables[chroma_dest])
-    return grids, tables, (height, width)
+    return grids, QuantTablePair(luma, cb), (height, width)
 
 
 def forward_grids(rgb, tables=None):

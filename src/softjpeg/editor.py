@@ -9,7 +9,7 @@ refiner parameters; the decoder has no stem and instead derives its input
 maps from dequantized coefficients.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,9 +20,32 @@ EDIT_CHANNELS = 128  # 64 luminance + 64 chrominance values per block site
 COEFF_INPUT_SCALE = 1.0 / 1024.0  # dequantized coefficients to roughly [-1, 1]
 
 
+class NamedParams:
+    """Base of the parameter dataclasses: their Tensor fields, in declaration
+    order, under the names ``<PREFIX>.<field>`` that checkpoints store."""
+
+    PREFIX = ""
+
+    @classmethod
+    def _tensor_fields(cls):
+        return [f.name for f in fields(cls) if f.type is Tensor]
+
+    def named(self):
+        return {f"{self.PREFIX}.{name}": getattr(self, name) for name in self._tensor_fields()}
+
+    @classmethod
+    def from_named(cls, named, **extra):
+        """Rebuild from a {name: array} mapping, e.g. a loaded checkpoint."""
+        tensors = {name: Tensor(named[f"{cls.PREFIX}.{name}"], requires_grad=True)
+                   for name in cls._tensor_fields()}
+        return cls(**tensors, **extra)
+
+
 @dataclass
-class StemParams:
+class StemParams(NamedParams):
     """Three stride-2 conv layers (3->32->64->256) plus a 1x1 reduction to 128."""
+
+    PREFIX = "stem"
 
     w1: Tensor
     b1: Tensor
@@ -33,18 +56,16 @@ class StemParams:
     w4: Tensor
     b4: Tensor
 
-    def named(self, prefix="stem"):
-        return {f"{prefix}.{f}": getattr(self, f) for f in
-                ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4")}
-
 
 @dataclass
-class RefinerParams:
+class RefinerParams(NamedParams):
     """Weights of the shared multiplicative recurrent refiner.
 
     Oriented for right multiplication: inputs are rows, so e.g. ``Wf`` maps
     a length-64 block map to the hidden size h via ``H @ Wf``.
     """
+
+    PREFIX = "smrnn"
 
     Wf: Tensor  # (64, h)
     Vf: Tensor  # (h, h)
@@ -55,9 +76,6 @@ class RefinerParams:
     @property
     def hidden_size(self):
         return self.Wf.shape[1]
-
-    def named(self, prefix="smrnn"):
-        return {f"{prefix}.{f}": getattr(self, f) for f in ("Wf", "Vf", "Vz", "Wz", "U")}
 
 
 def _he_conv(rng, out_ch, in_ch, ksize):

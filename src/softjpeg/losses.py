@@ -17,8 +17,6 @@ from .pipeline import table_multiplier
 # Weight reserved for the alignment term in the total loss.
 ALIGNMENT_WEIGHT = 0.01
 
-CSV_HEADER = "image_id,bpp,psnr_db,ssim,msssim,msssim_db,mse"
-
 _MSSSIM_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
 _WINDOW_SIZE = 11
 _MIN_MSSSIM_SIDE = _WINDOW_SIZE * 2 ** (len(_MSSSIM_WEIGHTS) - 1)  # 176
@@ -140,10 +138,6 @@ def loss_terms(x, xhat, tables, scores, cfg, features=None):
         ad.scalar_mul(al, ALIGNMENT_WEIGHT),
     )
     return {"d": d, "r": r, "al": al, "total": total}
-
-
-def total_loss(x, xhat, tables, scores, cfg, features=None):
-    return loss_terms(x, xhat, tables, scores, cfg, features)["total"]
 
 
 # --- image quality metrics ---------------------------------------------------

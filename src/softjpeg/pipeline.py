@@ -26,6 +26,7 @@ from .codec.dct import FDCT_FLAT, IDCT_FLAT
 from .codec.jfif import CHANNELS, bits_per_pixel
 from .codec.quant import round_half_away
 from .editor import (
+    NamedParams,
     RefinerParams,
     StemParams,
     coefficient_edit_scores,
@@ -52,15 +53,17 @@ class PipelineConfig:
 
 
 @dataclass
-class LearnableTables:
+class LearnableTables(NamedParams):
     """Luminance/chrominance table parameters in the scaled-divisor domain."""
+
+    PREFIX = "qtables"
 
     luma: Tensor
     chroma: Tensor
     scale: float
 
-    def named(self, prefix="qtables"):
-        return {f"{prefix}.luma": self.luma, f"{prefix}.chroma": self.chroma}
+    def for_channel(self, channel):
+        return self.luma if channel == "Y" else self.chroma
 
     def clamp_(self):
         """Clamp stored entries into [1s, 255s]; call after every update."""
@@ -75,14 +78,7 @@ class PipelineParams:
     tables: LearnableTables
 
     def named(self):
-        out = {}
-        out.update(self.stem.named())
-        out.update(self.refiner.named())
-        out.update(self.tables.named())
-        return out
-
-    def trainable(self):
-        return {name: t for name, t in self.named().items() if t.requires_grad}
+        return {**self.stem.named(), **self.refiner.named(), **self.tables.named()}
 
 
 @dataclass
@@ -115,13 +111,8 @@ def init_pipeline(config, seed=0):
 
 def params_from_named(named, config):
     """Rebuild PipelineParams from a named-tensor mapping (checkpoint load)."""
-    def t(name):
-        return Tensor(named[name], requires_grad=True)
-
-    stem = StemParams(*(t(f"stem.{f}") for f in ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4")))
-    refiner = RefinerParams(*(t(f"smrnn.{f}") for f in ("Wf", "Vf", "Vz", "Wz", "U")))
-    tables = LearnableTables(t("qtables.luma"), t("qtables.chroma"), config.table_scale)
-    return PipelineParams(stem, refiner, tables)
+    return PipelineParams(StemParams.from_named(named), RefinerParams.from_named(named),
+                          LearnableTables.from_named(named, scale=config.table_scale))
 
 
 def export_tables(tables):
@@ -134,14 +125,12 @@ def export_tables(tables):
 
 def table_multiplier(tables, channel):
     """Differentiable reciprocal table s / v for a channel, shape (8, 8)."""
-    v = tables.luma if channel == "Y" else tables.chroma
-    return ad.scalar_mul(ad.reciprocal(v), tables.scale)
+    return ad.scalar_mul(ad.reciprocal(tables.for_channel(channel)), tables.scale)
 
 
 def table_divisor(tables, channel):
     """Differentiable divisor table v / s for a channel, shape (8, 8)."""
-    v = tables.luma if channel == "Y" else tables.chroma
-    return ad.scalar_mul(v, 1.0 / tables.scale)
+    return ad.scalar_mul(tables.for_channel(channel), 1.0 / tables.scale)
 
 
 def _tile_rows(row_tensor, count):
@@ -181,7 +170,7 @@ def quantize_rows(coeff_rows, scores, params, config, rounding="soft"):
     """Edit-weighted quantization of flattened coefficient rows.
 
     Returns channel -> (N, 64) tensor.  ``rounding`` is "soft" (cubic
-    surrogate, differentiable), "hard" (constant rounded values) or "none".
+    surrogate, differentiable) or "hard" (constant rounded values).
     """
     c_l, c_c = scores
     n = c_l.shape[0]
@@ -196,8 +185,6 @@ def quantize_rows(coeff_rows, scores, params, config, rounding="soft"):
             quantized[channel] = ad.soft_round(product, config.soft_round_alternate)
         elif rounding == "hard":
             quantized[channel] = Tensor(round_half_away(product.data))
-        elif rounding == "none":
-            quantized[channel] = product
         else:
             raise ValueError(f"unknown rounding mode {rounding!r}")
     return quantized

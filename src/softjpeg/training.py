@@ -1,8 +1,11 @@
 """Patch ingestion, Adam with polynomial LR decay, the training loop and
-checkpointing, plus evaluation sweeps against the baseline codec."""
+the checkpoint format, plus evaluation against the baseline codec; the
+train-log and eval-CSV schemas live next to the code that writes them."""
 
 import json
+import math
 import os
+import struct
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 
@@ -10,10 +13,10 @@ import numpy as np
 
 from . import autodiff as ad
 from . import pipeline as pl
-from .autodiff import CheckpointFormatError, Tensor, load_tensors, save_tensors
+from .autodiff import Tensor
 from .codec import bits_per_pixel, decode_baseline, encode_baseline, read_ppm, tables_for_quality
 from .editor import stem_forward
-from .losses import CSV_HEADER, LossConfig, loss_terms, msssim, msssim_db, psnr, ssim
+from .losses import LossConfig, loss_terms, msssim, msssim_db, psnr, ssim
 from .losses import mse as mse_metric
 
 
@@ -66,13 +69,25 @@ class TrainConfig:
         return _config_from_dict(cls, data)
 
 
+# JSON value types each scalar field type accepts; bools are never numbers.
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,)}
+
+
 def _config_from_dict(cls, data):
-    """Build a config dataclass from a JSON object, naming any unknown keys."""
+    """Build a config dataclass from a JSON object, naming any unknown key or
+    any value of the wrong type."""
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {type(data).__name__}")
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(data) - set(types))
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    for key, value in data.items():
+        accepted = _JSON_TYPES.get(types[key])
+        if accepted and (not isinstance(value, accepted)
+                         or (isinstance(value, bool) and types[key] is not bool)):
+            raise ValueError(f"{cls.__name__} key {key!r} must be a {types[key].__name__}, "
+                             f"got {value!r}")
     return cls(**data)
 
 
@@ -221,6 +236,11 @@ def _step_rng(seed, step):
     return np.random.default_rng([seed, step])
 
 
+# The training log: one CSV row per step, from the train_step record.
+TRAIN_LOG_HEADER = "step,loss,d,r,al,lr"
+_TRAIN_LOG_ROW = "{step},{loss:.6f},{d:.6f},{r:.6f},{al:.6f},{lr:.3e}"
+
+
 def train_on_patches(patches, config, log=None, resume=None, stop_step=None, on_step=None):
     """Run the training loop over a fixed patch pool.
 
@@ -245,7 +265,7 @@ def train_on_patches(patches, config, log=None, resume=None, stop_step=None, on_
         record = train_step(params, config, adam, batch, step)
         history.append(record)
         if log is not None:
-            log("{step},{loss:.6f},{d:.6f},{r:.6f},{al:.6f},{lr:.3e}".format(**record))
+            log(_TRAIN_LOG_ROW.format(**record))
         if on_step is not None:
             on_step(params, record)
     return TrainingCheckpoint(params, adam, config, stop), history
@@ -263,26 +283,79 @@ def train(config, data_dir, out_path, log=None):
 #
 # A checkpoint file is a named-tensor container (parameters, then Adam
 # moments under adam.m.* / adam.v.*) followed by a JSON trailer with the
-# config snapshot and counters.
+# config snapshot and counters.  The container layout (all integers
+# little-endian uint32): count, then per tensor: name length, name bytes
+# (utf-8), rank, dims..., float64 little-endian payload.
 
 _CHECKPOINT_FORMAT = "softjpeg-checkpoint-v1"
+_MOMENTS = ("m", "v")
+_ADAM_SCALARS = tuple(f.name for f in fields(AdamState) if f.name not in _MOMENTS)
+
+
+class CheckpointFormatError(ValueError):
+    """A named-tensor container or checkpoint is truncated or malformed."""
+
+
+def save_tensors(named):
+    """Serialize a {name: array} mapping into a named-tensor container."""
+    out = bytearray(struct.pack("<I", len(named)))
+    for name, value in named.items():
+        data = np.asarray(value, dtype=np.float64)
+        encoded = name.encode("utf-8")
+        out += struct.pack("<I", len(encoded)) + encoded
+        out += struct.pack("<I", data.ndim)
+        out += struct.pack(f"<{data.ndim}I", *data.shape)
+        out += np.ascontiguousarray(data, dtype="<f8").tobytes()
+    return bytes(out)
+
+
+def load_tensors(blob):
+    """Parse a named-tensor container; returns ({name: ndarray}, end_offset).
+
+    Every count and length is checked against the bytes left before anything
+    is allocated, so a truncated or corrupt blob raises CheckpointFormatError.
+    """
+    pos = 0
+
+    def take(nbytes, what):
+        nonlocal pos
+        if nbytes > len(blob) - pos:
+            raise CheckpointFormatError(f"named-tensor container truncated in {what}")
+        pos += nbytes
+        return pos - nbytes
+
+    def u32(what):
+        return struct.unpack_from("<I", blob, take(4, what))[0]
+
+    count = u32("the tensor count")
+    # The smallest entry is 12 bytes: name length, rank 1 and one zero dim.
+    if count * 12 > len(blob) - pos:
+        raise CheckpointFormatError(f"{count} tensors cannot fit in {len(blob) - pos} bytes")
+    named = {}
+    for _ in range(count):
+        nlen = u32("a name length")
+        start = take(nlen, "a tensor name")
+        try:
+            name = blob[start:pos].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointFormatError(f"tensor name is not UTF-8: {exc}") from exc
+        rank = u32(f"the rank of {name!r}")
+        dims = struct.unpack_from(f"<{rank}I", blob, take(4 * rank, f"the dims of {name!r}"))
+        n = math.prod(dims)
+        start = take(8 * n, f"the payload of {name!r}")
+        named[name] = np.frombuffer(blob, dtype="<f8", count=n, offset=start).reshape(dims).copy()
+    return named, pos
 
 
 def checkpoint_bytes(ckpt):
     named = {name: t.data for name, t in ckpt.params.named().items()}
-    for name, m in ckpt.adam.m.items():
-        named[f"adam.m.{name}"] = m
-    for name, v in ckpt.adam.v.items():
-        named[f"adam.v.{name}"] = v
+    for moment in _MOMENTS:
+        for name, value in getattr(ckpt.adam, moment).items():
+            named[f"adam.{moment}.{name}"] = value
     trailer = {
         "format": _CHECKPOINT_FORMAT,
         "step": ckpt.step,
-        "adam": {
-            "step": ckpt.adam.step,
-            "beta1": ckpt.adam.beta1,
-            "beta2": ckpt.adam.beta2,
-            "eps": ckpt.adam.eps,
-        },
+        "adam": {name: getattr(ckpt.adam, name) for name in _ADAM_SCALARS},
         "config": ckpt.config.to_dict(),
     }
     return save_tensors(named) + json.dumps(trailer, sort_keys=True).encode("utf-8")
@@ -300,14 +373,9 @@ def checkpoint_from_bytes(blob):
     try:
         config = TrainConfig.from_dict(trailer["config"])
         params = pl.params_from_named(named, config.pipeline)
-        adam = AdamState(
-            m={n: named[f"adam.m.{n}"] for n in params.named()},
-            v={n: named[f"adam.v.{n}"] for n in params.named()},
-            step=trailer["adam"]["step"],
-            beta1=trailer["adam"]["beta1"],
-            beta2=trailer["adam"]["beta2"],
-            eps=trailer["adam"]["eps"],
-        )
+        moments = {moment: {n: named[f"adam.{moment}.{n}"] for n in params.named()}
+                   for moment in _MOMENTS}
+        adam = AdamState(**moments, **{name: trailer["adam"][name] for name in _ADAM_SCALARS})
         return TrainingCheckpoint(params, adam, config, trailer["step"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"malformed checkpoint: {exc!r}") from exc
@@ -365,11 +433,16 @@ def _metric_row(image_id, bpp, original, decoded):
     }
 
 
+# The eval CSV: two rows per image, from the _metric_row dicts.
+CSV_HEADER = "image_id,bpp,psnr_db,ssim,msssim,msssim_db,mse"
+_CSV_ROW = "{image_id},{bpp:.6f},{psnr_db:.6f},{ssim:.6f},{msssim:.6f},{msssim_db:.6f},{mse:.6f}"
+
+
 def evaluate(checkpoint, data_dir, csv_out=None):
     """Neural-pipeline and bpp-matched baseline metrics for every image.
 
     Returns the row dicts (two per image); optionally writes them as CSV in
-    the ``image_id,bpp,psnr_db,ssim,msssim,msssim_db,mse`` schema.
+    the ``CSV_HEADER`` schema.
     """
     params, config = checkpoint.params, checkpoint.config
     rows = []
@@ -389,25 +462,5 @@ def evaluate(checkpoint, data_dir, csv_out=None):
         with open(csv_out, "w") as fh:
             fh.write(CSV_HEADER + "\n")
             for row in rows:
-                fh.write(
-                    "{image_id},{bpp:.6f},{psnr_db:.6f},{ssim:.6f},"
-                    "{msssim:.6f},{msssim_db:.6f},{mse:.6f}\n".format(**row)
-                )
+                fh.write(_CSV_ROW.format(**row) + "\n")
     return rows
-
-
-def sweep_grid(base_config, grid):
-    """Enumerate configs over a {field: [values...]} grid, depth-first."""
-    configs = [base_config]
-    for name, values in grid.items():
-        nxt = []
-        for cfg in configs:
-            for value in values:
-                data = cfg.to_dict()
-                if name in LossConfig.__dataclass_fields__:
-                    data["loss"] = dict(data["loss"], **{name: value})
-                else:
-                    data[name] = value
-                nxt.append(TrainConfig.from_dict(data))
-        configs = nxt
-    return configs

@@ -9,9 +9,8 @@ class NotFittedError(RuntimeError):
     """The estimator was used before ``fit`` (or loading a checkpoint)."""
 
 
-def check_is_fitted(estimator, attributes=("params_",)):
-    missing = [a for a in attributes if getattr(estimator, a, None) is None]
-    if missing:
+def check_is_fitted(estimator):
+    if getattr(estimator, "params_", None) is None:
         raise NotFittedError(
             f"{type(estimator).__name__} is not fitted yet; call fit() or load a checkpoint"
         )

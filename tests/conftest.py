@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from softjpeg.codec import decode_ppm
+from softjpeg.codec import decode_ppm, encode_ppm
 
 
 def make_natural_image(height, width, seed=7):
@@ -37,13 +37,37 @@ def small_image():
     return make_natural_image(120, 184, seed=7)
 
 
+def _build_libjpeg_client(tmp_path_factory, name, missing):
+    """Compile ``<name>.c`` next to this file against the system libjpeg,
+    once per session; skip with ``missing`` and the reason if that fails."""
+    work = tmp_path_factory.mktemp(name)
+    exe = work / name
+    build = ["gcc", "-O2", "-o", str(exe), str(Path(__file__).with_name(f"{name}.c")), "-ljpeg"]
+    try:
+        done = subprocess.run(build, env=dict(os.environ, TMPDIR=str(work)),
+                              capture_output=True, text=True, timeout=120)
+    except (OSError, subprocess.TimeoutExpired) as exc:
+        pytest.skip(f"{missing}: gcc could not run: {exc}")
+    if done.returncode != 0:
+        pytest.skip(f"{missing}: gcc -ljpeg failed: " + done.stderr.strip()[-300:])
+
+    def run(stdin, *args):
+        done = subprocess.run([str(exe), *args], input=stdin, capture_output=True, timeout=60)
+        if done.returncode != 0:
+            raise ValueError(f"libjpeg rejected the input (exit {done.returncode}): "
+                             + done.stderr.decode(errors="replace").strip())
+        return done.stdout
+
+    return run
+
+
 @pytest.fixture(scope="session")
 def stock_decode(tmp_path_factory):
     """Decode a JFIF stream to an (H, W, 3) raster with a stock decoder.
 
     Pillow when it is installed; otherwise the system libjpeg through the
-    ``refdecode.c`` client, compiled once per session.  Tests that use this
-    skip, with the reason, when neither is available.
+    ``refdecode.c`` client.  Tests that use this skip, with the reason, when
+    neither is available.
     """
     try:
         from PIL import Image
@@ -56,23 +80,15 @@ def stock_decode(tmp_path_factory):
 
         return pillow_decode
 
-    work = tmp_path_factory.mktemp("refdecode")
-    exe = work / "refdecode"
-    build = ["gcc", "-O2", "-o", str(exe), str(Path(__file__).with_name("refdecode.c")), "-ljpeg"]
-    try:
-        done = subprocess.run(build, env=dict(os.environ, TMPDIR=str(work)),
-                              capture_output=True, text=True, timeout=120)
-    except (OSError, subprocess.TimeoutExpired) as exc:
-        pytest.skip(f"no stock JPEG decoder: Pillow is missing and gcc could not run: {exc}")
-    if done.returncode != 0:
-        pytest.skip("no stock JPEG decoder: Pillow is missing and gcc -ljpeg failed: "
-                    + done.stderr.strip()[-300:])
+    run = _build_libjpeg_client(tmp_path_factory, "refdecode",
+                                "no stock JPEG decoder (Pillow is missing)")
+    return lambda stream: decode_ppm(run(stream))
 
-    def libjpeg_decode(stream):
-        done = subprocess.run([str(exe)], input=stream, capture_output=True, timeout=60)
-        if done.returncode != 0:
-            raise ValueError(f"libjpeg rejected the stream (exit {done.returncode}): "
-                             + done.stderr.decode(errors="replace").strip())
-        return decode_ppm(done.stdout)
 
-    return libjpeg_decode
+@pytest.fixture(scope="session")
+def libjpeg_encode(tmp_path_factory):
+    """Encode an (H, W, 3) uint8 raster to JFIF with the system libjpeg through
+    the ``refencode.c`` client: ``encode(image, quality, *options)``, with the
+    client's options "420", "restart=ROWS", "progressive" and "crtable"."""
+    run = _build_libjpeg_client(tmp_path_factory, "refencode", "no libjpeg encoder")
+    return lambda image, quality, *options: run(encode_ppm(image), str(quality), *options)

@@ -110,7 +110,7 @@ def test_gradient_integrity_ops_and_full_pipeline():
             assert err < 1e-4, f"{name}: {err}"
             worst_op = max(worst_op, err)
 
-    # d(total_loss)/d(tables) through the full pipeline on a 16x16 image,
+    # d(total loss)/d(tables) through the full pipeline on a 16x16 image,
     # against central differences.  Perturbations are expressed in units of
     # the table scale s (the parameters live in [1s, 255s]).  The surrogate
     # loss is only piecewise smooth in the tables (rounding cells, kWTA

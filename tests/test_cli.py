@@ -5,7 +5,7 @@ import pytest
 from softjpeg import training as tr
 from softjpeg.cli import main
 from softjpeg.codec import read_ppm, write_ppm
-from softjpeg.losses import CSV_HEADER
+from softjpeg.training import CSV_HEADER
 from tests.conftest import make_natural_image
 
 
@@ -168,3 +168,18 @@ def test_config_with_unknown_key_exits_1(tmp_path, capsys):
     assert main(["train", "--data", str(data), "--config", str(cfg_path),
                  "--out", str(tmp_path / "model.ckpt")]) == 1
     assert "stepz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [({"steps": "ten"}, "steps"), ({"steps": True}, "steps"), ({"loss": {"lam": "high"}}, "lam")],
+    ids=["top-level-str", "top-level-bool", "nested-loss"],
+)
+def test_config_with_wrong_value_type_exits_1(tmp_path, capsys, config, key):
+    data = tmp_path / "data"
+    data.mkdir()
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["train", "--data", str(data), "--config", str(cfg_path),
+                 "--out", str(tmp_path / "model.ckpt")]) == 1
+    assert repr(key) in capsys.readouterr().err

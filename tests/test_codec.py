@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from softjpeg.codec import (
+    JpegFormatError,
     PpmFormatError,
     QuantTablePair,
     bits_per_pixel,
@@ -26,18 +27,50 @@ def test_decode_matches_reference_decoder_within_one(natural_image, stock_decode
             assert np.abs(ours.astype(int) - ref.astype(int)).max() <= 1
 
 
-def test_decode_of_reference_encoder_output_matches(natural_image):
+def test_decode_of_reference_encoder_output_matches(natural_image, stock_decode, request):
     # The independent encoder's 4:4:4 baseline output must decode here with
-    # at most one level of disagreement against its own decoder.
-    PIL_Image = pytest.importorskip("PIL.Image")
+    # at most one level of disagreement against a stock decoder.  The encoder
+    # is Pillow's when it is installed, else the system libjpeg's.
+    try:
+        from PIL import Image
+    except ImportError:
+        encode = request.getfixturevalue("libjpeg_encode")
+    else:
+        def encode(img, quality):
+            buf = io.BytesIO()
+            Image.fromarray(img).save(buf, format="JPEG", quality=quality, subsampling=0)
+            return buf.getvalue()
+
     img = natural_image(120, 184, seed=7)
     for quality in (50, 90):
-        buf = io.BytesIO()
-        PIL_Image.fromarray(img).save(buf, format="JPEG", quality=quality, subsampling=0)
-        stream = buf.getvalue()
+        stream = encode(img, quality)
         ours = decode_baseline(stream)
-        ref = np.asarray(PIL_Image.open(io.BytesIO(stream)).convert("RGB"))
+        ref = stock_decode(stream)
         assert np.abs(ours.astype(int) - ref.astype(int)).max() <= 1
+
+
+@pytest.mark.parametrize(
+    "options, error",
+    [
+        ((50,), None),
+        ((90,), None),
+        ((75, "420"), "chroma subsampling is not supported"),
+        ((75, "restart=1"), "restart intervals are not supported"),
+        ((75, "progressive"), "progressive JPEG is not supported"),
+        ((75, "crtable"), "Cb and Cr must share one quantization table"),
+    ],
+    ids=["444-q50", "444-q90", "420", "restart", "progressive", "cr-table"],
+)
+def test_libjpeg_streams_decode_exactly_or_raise(natural_image, libjpeg_encode, stock_decode,
+                                                  options, error):
+    # libjpeg's 4:4:4 baseline streams decode bit-exactly; every stream
+    # outside the supported subset raises the parser's error.
+    stream = libjpeg_encode(natural_image(120, 184, seed=7), *options)
+    if error is None:
+        assert np.array_equal(decode_baseline(stream), stock_decode(stream))
+    else:
+        with pytest.raises(JpegFormatError, match=error):
+            decode_baseline(stream)
 
 
 def test_constant_gray_with_identity_tables_is_near_lossless():

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,3 +184,18 @@ def test_segment_length_mismatch_rejected(valid_stream):
 def test_missing_eoi_rejected(valid_stream):
     with pytest.raises(JpegFormatError, match="EOI|truncated"):
         entropy_decode(valid_stream[:-2])
+
+
+def test_frame_larger_than_its_scan_rejected_before_allocating(valid_stream):
+    # A 184x120 stream whose SOF declares 4000x4000: its scan cannot hold
+    # 500x500 MCUs, so decoding must fail before the coefficient grids exist.
+    sof = valid_stream.index(b"\xff\xc0")
+    patched = valid_stream[: sof + 5] + struct.pack(">HH", 4000, 4000) + valid_stream[sof + 9 :]
+    tracemalloc.start()
+    try:
+        with pytest.raises(JpegFormatError, match="cannot hold 500x500 MCUs"):
+            entropy_decode(patched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

@@ -177,7 +177,8 @@ def test_total_loss_zero_for_identical_images_without_rate():
     tables = tables_with_multiplier(0.5)
     scores = (Tensor(np.zeros((1, 64))), Tensor(np.zeros((1, 64))))
     cfg = losses.LossConfig(lam=0.9, alpha=0.0, beta=0.0)
-    assert losses.total_loss(x, Tensor(np.full((3, 3), 7.0)), tables, scores, cfg).item() == 0.0
+    terms = losses.loss_terms(x, Tensor(np.full((3, 3), 7.0)), tables, scores, cfg)
+    assert terms["total"].item() == 0.0
 
 
 def test_loss_gradients_pass_finite_difference_check():
@@ -188,7 +189,8 @@ def test_loss_gradients_pass_finite_difference_check():
 
     def through_xhat(t):
         scores = (ad.concat([t] * 16, axis=1), Tensor(np.full((1, 64), 0.3)))
-        return losses.total_loss(Tensor(y.data), ad.hadamard_mul(t, t), tables, scores, cfg)
+        return losses.loss_terms(Tensor(y.data), ad.hadamard_mul(t, t), tables, scores,
+                                 cfg)["total"]
 
     x0 = rng.uniform(1.0, 3.0, (1, 4))
     assert ad.grad_check(through_xhat, Tensor(x0), eps=1e-4) < 1e-4

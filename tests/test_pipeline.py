@@ -218,7 +218,7 @@ def test_every_parameter_group_receives_gradient(natural_image):
     target = Tensor(np.asarray(img, float)[None])
     diff = ad.sub(out.reconstruction, target)
     ad.backward(ad.reduce_mean(ad.hadamard_mul(diff, diff)))
-    for name, t in params.trainable().items():
+    for name, t in params.named().items():
         assert t.grad is not None and np.any(t.grad != 0.0), name
 
 

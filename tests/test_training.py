@@ -4,9 +4,10 @@ import pytest
 
 from softjpeg import pipeline as pl
 from softjpeg import training as tr
-from softjpeg.autodiff import CheckpointFormatError, Tensor, load_tensors
+from softjpeg.autodiff import Tensor
 from softjpeg.codec import decode_baseline, encode_baseline, tables_for_quality, write_ppm
-from softjpeg.losses import CSV_HEADER, psnr
+from softjpeg.losses import psnr
+from softjpeg.training import CSV_HEADER, CheckpointFormatError, load_tensors
 from tests.conftest import make_natural_image
 
 
@@ -221,6 +222,16 @@ def test_config_from_dict_names_unknown_keys():
         tr.TrainConfig.from_dict({"loss": 5})
 
 
+def test_config_from_dict_checks_value_types():
+    cfg = tr.TrainConfig.from_dict({"lr0": 1, "loss": {"alpha": 0}, "soft_round_alternate": False})
+    assert cfg.lr0 == 1 and cfg.loss.alpha == 0 and cfg.soft_round_alternate is False
+    for data, key in (({"steps": 2.0}, "steps"), ({"lr0": True}, "lr0"),
+                      ({"soft_round_alternate": 1}, "soft_round_alternate"),
+                      ({"loss": {"sigma": None}}, "sigma")):
+        with pytest.raises(ValueError, match=repr(key)):
+            tr.TrainConfig.from_dict(data)
+
+
 def test_resume_matches_uninterrupted_run(tmp_path):
     patches = quick_patches()
     cfg = quick_config(steps=8)
@@ -282,11 +293,3 @@ def test_evaluate_baseline_row_matches_direct_measurement(eval_setup):
     decoded = decode_baseline(encode_baseline(img, tables_for_quality(quality)))
     assert baseline["psnr_db"] == psnr(img, decoded)
 
-
-def test_sweep_grid_enumerates_configs():
-    base = quick_config()
-    grid = tr.sweep_grid(base, {"kwta_k": [8, 16], "alpha": [1e-3, 1e-2, 1e-1]})
-    assert len(grid) == 6
-    assert {c.kwta_k for c in grid} == {8, 16}
-    assert {c.loss.alpha for c in grid} == {1e-3, 1e-2, 1e-1}
-    assert all(c.loss.beta == base.loss.beta for c in grid)
