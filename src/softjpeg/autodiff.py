@@ -8,9 +8,11 @@ a topological order because operands always exist before their result).
 There is no broadcasting except ``scalar_mul``: shape mismatches raise
 ``ShapeError`` naming the op and both shapes.  A graph is single-threaded
 during forward/backward; tensors without graph linkage are immutable and
-freely shareable between threads.
+freely shareable between threads.  Inside ``no_grad()`` ops link no graph.
 """
 
+import contextlib
+import contextvars
 import itertools
 
 import numpy as np
@@ -18,6 +20,8 @@ import numpy as np
 from .codec.quant import round_half_away
 
 _COUNTER = itertools.count()
+# Per thread, unlike a module flag: no_grad in one leaves another's training taped.
+_TAPING = contextvars.ContextVar("softjpeg_autodiff_taping", default=True)
 
 
 class ShapeError(ValueError):
@@ -65,8 +69,18 @@ def ones(shape, requires_grad=False):
     return Tensor(np.ones(shape), requires_grad=requires_grad)
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Ops inside the block link no parents, so an inference pass keeps no graph."""
+    token = _TAPING.set(False)
+    try:
+        yield
+    finally:
+        _TAPING.reset(token)
+
+
 def _result(data, op, parents, backward_fn):
-    if any(p.requires_grad for p in parents):
+    if _TAPING.get() and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, op=op, parents=parents, backward=backward_fn)
     return Tensor(data, op=op)
 

@@ -1,8 +1,10 @@
-"""Default Huffman tables, canonical code construction and entropy bit I/O."""
+"""The entropy-coded segment: default Huffman tables, canonical code
+assignment (ITU-T T.81 Annex C), bit I/O with byte stuffing and the
+baseline scan syntax (Annex F.1.2 / F.2.2)."""
 
 import numpy as np
 
-from .errors import JpegFormatError
+from .errors import CoefficientRangeError, JpegFormatError
 
 # Zigzag scan: ZIGZAG[k] is the natural (row-major) index of the k-th element.
 ZIGZAG = np.array(
@@ -71,59 +73,36 @@ DEFAULT_SPECS = {
 }
 
 
-class HuffmanCodec:
-    """Canonical Huffman codec built from a (lengths, values) table spec."""
-
-    def __init__(self, lengths, values):
-        if len(lengths) != 16:
-            raise ValueError("Huffman spec needs 16 length counts")
-        if sum(lengths) != len(values):
-            raise ValueError("Huffman spec length counts do not match value count")
-        self.lengths = bytes(lengths)
-        self.values = bytes(values)
-        self.encode_map = {}
-        self.decode_map = {}
-        code = 0
-        idx = 0
-        for size, count in enumerate(lengths, start=1):
-            for _ in range(count):
-                symbol = values[idx]
-                self.encode_map[symbol] = (code, size)
-                self.decode_map[(size, code)] = symbol
-                code += 1
-                idx += 1
-            code <<= 1
-
-    def encode_symbol(self, symbol):
-        try:
-            return self.encode_map[symbol]
-        except KeyError:
-            raise JpegFormatError(f"symbol 0x{symbol:02X} has no Huffman code") from None
+def code_assignment(lengths, values):
+    """Yield ``(symbol, code, size)`` for a (lengths, values) table spec: the
+    canonical codes of ITU-T T.81 Annex C, shortest first."""
+    if len(lengths) != 16:
+        raise ValueError("Huffman spec needs 16 length counts")
+    if sum(lengths) != len(values):
+        raise ValueError("Huffman spec length counts do not match value count")
+    symbols = iter(values)
+    code = 0
+    for size, count in enumerate(lengths, start=1):
+        for _ in range(count):
+            yield next(symbols), code, size
+            code += 1
+        code <<= 1
 
 
-def magnitude_category(value):
-    """Number of bits needed for |value| (JPEG SSSS category)."""
-    return int(abs(int(value))).bit_length()
-
-
-def magnitude_bits(value, category):
-    """Low-order bits encoding the signed magnitude (one's-complement negatives)."""
-    if value < 0:
-        return value + (1 << category) - 1
-    return value
+# The encoder's {symbol: (code, size)} tables; it writes no others.
+_ENCODE_TABLES = {
+    key: {symbol: (code, size) for symbol, code, size in code_assignment(*spec)}
+    for key, spec in DEFAULT_SPECS.items()
+}
 
 
 def extend_magnitude(bits, category):
-    """Inverse of :func:`magnitude_bits`."""
-    if category == 0:
-        return 0
-    if bits < (1 << (category - 1)):
-        return bits - (1 << category) + 1
-    return bits
+    """Signed value of ``category`` magnitude bits (T.81 F.2.2.1 EXTEND)."""
+    return bits if bits >= (1 << category) >> 1 else bits - (1 << category) + 1
 
 
 class BitWriter:
-    """MSB-first bit writer with 0xFF00 byte stuffing."""
+    """MSB-first bit writer; ``flush`` applies the 0xFF00 byte stuffing."""
 
     def __init__(self):
         self._acc = 0
@@ -135,17 +114,14 @@ class BitWriter:
         self._nbits += nbits
         while self._nbits >= 8:
             self._nbits -= 8
-            byte = (self._acc >> self._nbits) & 0xFF
-            self.data.append(byte)
-            if byte == 0xFF:
-                self.data.append(0x00)
+            self.data.append((self._acc >> self._nbits) & 0xFF)
         self._acc &= (1 << self._nbits) - 1
 
     def flush(self):
         if self._nbits:
             pad = 8 - self._nbits
             self.write((1 << pad) - 1, pad)
-        return bytes(self.data)
+        return bytes(self.data).replace(b"\xff", b"\xff\x00")
 
 
 class BitReader:
@@ -187,12 +163,104 @@ class BitReader:
             value = (value << 1) | self.read_bit()
         return value
 
-    def decode_symbol(self, codec):
+    def decode_symbol(self, decode_map):
         code = 0
         for size in range(1, 17):
             code = (code << 1) | self.read_bit()
-            symbol = codec.decode_map.get((size, code))
+            symbol = decode_map.get((size, code))
             if symbol is not None:
                 return symbol
         raise JpegFormatError("invalid Huffman code in entropy-coded data")
 
+
+def _encode_block(write, zz, prev_dc, dc_table, ac_table):
+    """Write one zigzag-ordered block (T.81 F.1.2): each symbol goes out with
+    its magnitude bits, negative values in one's complement."""
+    diff = zz[0] - prev_dc
+    cat = abs(diff).bit_length()
+    if cat > 11:
+        raise CoefficientRangeError(f"DC difference {diff} is not Huffman-encodable")
+    code, size = dc_table[cat]
+    write(code << cat | (diff - (diff < 0)) & ((1 << cat) - 1), size + cat)
+
+    run = 0
+    for k in range(1, 64):
+        v = zz[k]
+        if v == 0:
+            run += 1
+            continue
+        while run >= 16:
+            code, size = ac_table[0xF0]
+            write(code, size)
+            run -= 16
+        cat = abs(v).bit_length()
+        if cat > 10:
+            raise CoefficientRangeError(f"AC coefficient {v} is not Huffman-encodable")
+        code, size = ac_table[run << 4 | cat]
+        write(code << cat | (v - (v < 0)) & ((1 << cat) - 1), size + cat)
+        run = 0
+    if run:
+        code, size = ac_table[0x00]
+        write(code, size)
+    return zz[0]
+
+
+def encode_scan(blocks, dests):
+    """The stuffed entropy-coded segment of an interleaved scan: ``blocks``
+    holds each component's (rows, cols, 8, 8) integer array and ``dests`` its
+    default-table destination."""
+    # Zigzag-ordered Python int lists: much faster in the symbol loop below.
+    zigzagged = [b.reshape(-1, 64)[:, ZIGZAG].astype(np.int64).tolist() for b in blocks]
+    tables = [(_ENCODE_TABLES[0, dest], _ENCODE_TABLES[1, dest]) for dest in dests]
+    writer = BitWriter()
+    prev_dc = [0] * len(blocks)
+    for mcu in zip(*zigzagged):
+        for ci, zz in enumerate(mcu):
+            prev_dc[ci] = _encode_block(writer.write, zz, prev_dc[ci], *tables[ci])
+    return writer.flush()
+
+
+def _decode_block(reader, prev_dc, dc_map, ac_map):
+    zz = [0] * 64
+    cat = reader.decode_symbol(dc_map)
+    if cat > 11:
+        raise JpegFormatError(f"invalid DC category {cat}")
+    dc = prev_dc + extend_magnitude(reader.read_bits(cat), cat)
+    zz[0] = dc
+    k = 1
+    while k < 64:
+        rs = reader.decode_symbol(ac_map)
+        run, cat = rs >> 4, rs & 0x0F
+        if cat == 0:
+            if run == 0:  # EOB
+                break
+            if run == 15:  # ZRL
+                k += 16
+                continue
+            raise JpegFormatError(f"invalid AC symbol 0x{rs:02X}")
+        k += run
+        if k > 63:
+            raise JpegFormatError("AC run-length overflows the block")
+        zz[k] = extend_magnitude(reader.read_bits(cat), cat)
+        k += 1
+    return zz, dc
+
+
+def decode_scan(data, pos, rows, cols, maps):
+    """Decode a 3-component scan of rows x cols MCUs at ``data[pos]`` with each
+    component's (DC, AC) {(size, code): symbol} maps; returns (each one's
+    (rows * cols, 64) natural-order array, the end position)."""
+    # Every block takes at least a 1-bit DC code and a 1-bit EOB, so each
+    # 3-block MCU needs 6 bits of scan: check before allocating the grids.
+    scan_bytes = len(data) - pos
+    if 8 * scan_bytes < 6 * rows * cols:
+        raise JpegFormatError(f"a {scan_bytes}-byte scan cannot hold {rows}x{cols} MCUs")
+
+    reader = BitReader(data, pos)
+    blocks = [np.zeros((rows * cols, 64), dtype=np.int64) for _ in maps]
+    prev_dc = [0] * len(maps)
+    for i in range(rows * cols):
+        for ci, (dc_map, ac_map) in enumerate(maps):
+            zz, prev_dc[ci] = _decode_block(reader, prev_dc[ci], dc_map, ac_map)
+            blocks[ci][i, ZIGZAG] = zz
+    return blocks, reader.pos

@@ -8,16 +8,7 @@ from .blocks import CoefficientGrid, partition_plane
 from .color import rgb_to_ycbcr
 from .dct import fdct_blocks
 from .errors import CoefficientRangeError, JpegFormatError
-from .huffman import (
-    DEFAULT_SPECS,
-    ZIGZAG,
-    BitReader,
-    BitWriter,
-    HuffmanCodec,
-    extend_magnitude,
-    magnitude_bits,
-    magnitude_category,
-)
+from .huffman import DEFAULT_SPECS, ZIGZAG, code_assignment, decode_scan, encode_scan
 from .intdecode import integer_idct_samples, ycbcr_samples_to_rgb
 from .quant import QuantTablePair, quantize_blocks
 
@@ -81,39 +72,6 @@ def _check_coefficient_range(grids):
             )
 
 
-def _encode_block(writer, zz, prev_dc, dc_codec, ac_codec):
-    diff = zz[0] - prev_dc
-    cat = magnitude_category(diff)
-    if cat > 11:
-        raise CoefficientRangeError(f"DC difference {diff} is not Huffman-encodable")
-    code, size = dc_codec.encode_symbol(cat)
-    writer.write(code, size)
-    if cat:
-        writer.write(magnitude_bits(diff, cat), cat)
-
-    run = 0
-    for k in range(1, 64):
-        v = zz[k]
-        if v == 0:
-            run += 1
-            continue
-        while run >= 16:
-            code, size = ac_codec.encode_symbol(0xF0)
-            writer.write(code, size)
-            run -= 16
-        cat = magnitude_category(v)
-        if cat > 10:
-            raise CoefficientRangeError(f"AC coefficient {v} is not Huffman-encodable")
-        code, size = ac_codec.encode_symbol(run << 4 | cat)
-        writer.write(code, size)
-        writer.write(magnitude_bits(v, cat), cat)
-        run = 0
-    if run:
-        code, size = ac_codec.encode_symbol(0x00)
-        writer.write(code, size)
-    return zz[0]
-
-
 def entropy_encode(grids, tables):
     """Assemble a complete JFIF stream from quantized coefficient grids.
 
@@ -127,24 +85,7 @@ def entropy_encode(grids, tables):
         raise ValueError("coefficient grids must share one block-grid shape")
     _check_coefficient_range(grids)
 
-    rows, cols = y.blocks.shape[:2]
-    codecs = {key: HuffmanCodec(*spec) for key, spec in DEFAULT_SPECS.items()}
-    writer = BitWriter()
-    prev_dc = [0, 0, 0]
-    # Zigzag-ordered Python int lists: much faster in the symbol loop below.
-    zz_all = [
-        g.blocks.reshape(rows, cols, 64)[:, :, ZIGZAG].astype(np.int64).tolist()
-        for g in grids
-    ]
-    dests = [dest for _, dest in _COMPONENTS]
-    for r in range(rows):
-        for c in range(cols):
-            for ci in range(3):
-                dest = dests[ci]
-                prev_dc[ci] = _encode_block(
-                    writer, zz_all[ci][r][c], prev_dc[ci], codecs[0, dest], codecs[1, dest],
-                )
-
+    scan = encode_scan([g.blocks for g in grids], [dest for _, dest in _COMPONENTS])
     head = (
         struct.pack(">BB", 0xFF, SOI)
         + _app0_jfif()
@@ -154,33 +95,7 @@ def entropy_encode(grids, tables):
         + _dht_segment()
         + _sos_segment()
     )
-    return head + writer.flush() + struct.pack(">BB", 0xFF, EOI)
-
-
-def _decode_block(reader, prev_dc, dc_codec, ac_codec):
-    zz = [0] * 64
-    cat = reader.decode_symbol(dc_codec)
-    if cat > 11:
-        raise JpegFormatError(f"invalid DC category {cat}")
-    dc = prev_dc + extend_magnitude(reader.read_bits(cat), cat)
-    zz[0] = dc
-    k = 1
-    while k < 64:
-        rs = reader.decode_symbol(ac_codec)
-        run, cat = rs >> 4, rs & 0x0F
-        if cat == 0:
-            if run == 0:  # EOB
-                break
-            if run == 15:  # ZRL
-                k += 16
-                continue
-            raise JpegFormatError(f"invalid AC symbol 0x{rs:02X}")
-        k += run
-        if k > 63:
-            raise JpegFormatError("AC run-length overflows the block")
-        zz[k] = extend_magnitude(reader.read_bits(cat), cat)
-        k += 1
-    return zz, dc
+    return head + scan + struct.pack(">BB", 0xFF, EOI)
 
 
 class _StreamParser:
@@ -190,7 +105,7 @@ class _StreamParser:
         self.dims = None
         self.comp_qdest = None
         self.qtables = {}
-        self.hcodecs = {}
+        self.hmaps = {}
         self.scan_dests = None
 
     def _need(self, n, what):
@@ -268,6 +183,8 @@ class _StreamParser:
             comp_id, sampling, dest = struct.unpack_from(">BBB", payload, 6 + 3 * i)
             if sampling != 0x11:
                 raise JpegFormatError("chroma subsampling is not supported (need 1x1 sampling)")
+            if comp_id in qdest:
+                raise JpegFormatError(f"SOF0 repeats component id {comp_id}")
             qdest[comp_id] = dest
         self.dims = (height, width)
         self.comp_qdest = qdest
@@ -311,7 +228,8 @@ class _StreamParser:
                 raise JpegFormatError("DHT segment length mismatch")
             values = payload[pos : pos + count]
             pos += count
-            self.hcodecs[cls, dest] = HuffmanCodec(lengths, values)
+            self.hmaps[cls, dest] = {(size, code): symbol for symbol, code, size
+                                     in code_assignment(lengths, values)}
         if pos != len(payload):
             raise JpegFormatError("DHT segment length mismatch")
 
@@ -323,16 +241,13 @@ class _StreamParser:
         ncomp = payload[0]
         if ncomp != 3 or len(payload) != 1 + 2 * ncomp + 3:
             raise JpegFormatError("SOS must describe a 3-component interleaved scan")
-        dests = []
-        for i in range(ncomp):
-            comp_id, tables = payload[1 + 2 * i], payload[2 + 2 * i]
-            if comp_id not in self.comp_qdest:
-                raise JpegFormatError(f"scan references unknown component {comp_id}")
-            dests.append((self.comp_qdest[comp_id], tables >> 4, tables & 0x0F))
-        ss, se, ahal = payload[-3], payload[-2], payload[-1]
-        if (ss, se, ahal) != (0, 63, 0):
+        ids, tables = list(payload[1:-3:2]), payload[2:-3:2]
+        if ids != list(self.comp_qdest):  # T.81 B.2.3
+            raise JpegFormatError(f"scan components {ids} are not the frame's "
+                                  f"{list(self.comp_qdest)} in frame order")
+        if tuple(payload[-3:]) != (0, 63, 0):
             raise JpegFormatError("spectral selection / successive approximation not supported")
-        self.scan_dests = dests
+        self.scan_dests = [(self.comp_qdest[i], t >> 4, t & 0x0F) for i, t in zip(ids, tables)]
 
 
 def entropy_decode(data):
@@ -347,44 +262,27 @@ def entropy_decode(data):
     rows = -(-height // 8)
     cols = -(-width // 8)
 
-    comps = []
+    qtables, maps = [], []
     for channel, (qdest, dc_dest, ac_dest) in zip(CHANNELS, parser.scan_dests):
         if qdest not in parser.qtables:
             raise JpegFormatError(f"missing quantization table {qdest}")
-        dc = parser.hcodecs.get((0, dc_dest))
-        ac = parser.hcodecs.get((1, ac_dest))
-        if dc is None or ac is None:
+        if (0, dc_dest) not in parser.hmaps or (1, ac_dest) not in parser.hmaps:
             raise JpegFormatError(f"missing Huffman tables for component {channel}")
-        comps.append((channel, qdest, dc, ac))
-    luma, cb, cr = (parser.qtables[qdest] for _, qdest, _, _ in comps)
+        qtables.append(parser.qtables[qdest])
+        maps.append((parser.hmaps[0, dc_dest], parser.hmaps[1, ac_dest]))
+    luma, cb, cr = qtables
     if not np.array_equal(cb, cr):
         raise JpegFormatError("Cb and Cr must share one quantization table")
-    # Every block takes at least a 1-bit DC code and a 1-bit EOB, so each
-    # 3-block MCU needs 6 bits of scan: check before allocating the grids.
-    scan_bytes = len(parser.data) - parser.pos
-    if 8 * scan_bytes < 6 * rows * cols:
-        raise JpegFormatError(f"a {scan_bytes}-byte scan cannot hold {rows}x{cols} MCUs")
-
-    reader = BitReader(parser.data, parser.pos)
-    blocks = [np.zeros((rows, cols, 64), dtype=np.int64) for _ in comps]
-    prev_dc = [0, 0, 0]
-    for r in range(rows):
-        for c in range(cols):
-            for ci, (_, _, dc_codec, ac_codec) in enumerate(comps):
-                zz, prev_dc[ci] = _decode_block(reader, prev_dc[ci], dc_codec, ac_codec)
-                blocks[ci][r, c, ZIGZAG] = zz
+    blocks, pos = decode_scan(parser.data, parser.pos, rows, cols, maps)
 
     # Skip padding and fill bytes, then demand EOI.
-    pos = reader.pos
     while pos + 1 < len(parser.data) and parser.data[pos] == 0xFF and parser.data[pos + 1] == 0xFF:
         pos += 1
     if pos + 2 > len(parser.data) or parser.data[pos] != 0xFF or parser.data[pos + 1] != EOI:
         raise JpegFormatError("missing EOI marker after entropy-coded data")
 
-    grids = tuple(
-        CoefficientGrid(channel, blocks[ci].reshape(rows, cols, 8, 8), height, width)
-        for ci, (channel, _, _, _) in enumerate(comps)
-    )
+    grids = tuple(CoefficientGrid(channel, b.reshape(rows, cols, 8, 8), height, width)
+                  for channel, b in zip(CHANNELS, blocks))
     return grids, QuantTablePair(luma, cb), (height, width)
 
 

@@ -267,6 +267,7 @@ def forward(images, params, config, rounding="soft", measure_rate=False):
 
 def encode_stream(image, params, config):
     """Hard-round one image through the learned pipeline into a JFIF stream."""
-    quantized, _, geometry, height, width = _encode_rows(image, params, config, "hard")
+    with ad.no_grad():
+        quantized, _, geometry, height, width = _encode_rows(image, params, config, "hard")
     grids = hard_grids(quantized, geometry, height, width)[0]
     return entropy_encode(grids, export_tables(params.tables))

@@ -343,7 +343,10 @@ def load_tensors(blob):
         dims = struct.unpack_from(f"<{rank}I", blob, take(4 * rank, f"the dims of {name!r}"))
         n = math.prod(dims)
         start = take(8 * n, f"the payload of {name!r}")
-        named[name] = np.frombuffer(blob, dtype="<f8", count=n, offset=start).reshape(dims).copy()
+        try:  # dims holding a zero pass the size check but may overflow a shape
+            named[name] = np.frombuffer(blob, "<f8", count=n, offset=start).reshape(dims).copy()
+        except ValueError as exc:
+            raise CheckpointFormatError(f"{name!r} has an impossible shape {dims}") from exc
     return named, pos
 
 
@@ -372,11 +375,22 @@ def checkpoint_from_bytes(blob):
         raise CheckpointFormatError(f"not a {_CHECKPOINT_FORMAT} checkpoint")
     try:
         config = TrainConfig.from_dict(trailer["config"])
+        # init_pipeline allocates hidden_size^2 values for smrnn.Vf alone.
+        if config.hidden_size ** 2 > sum(value.size for value in named.values()):
+            raise CheckpointFormatError(f"hidden_size {config.hidden_size} does not fit "
+                                        "the stored tensors")
+        for name, t in pl.init_pipeline(config.pipeline).named().items():
+            for key in (name, *(f"adam.{moment}.{name}" for moment in _MOMENTS)):
+                if named[key].shape != t.shape:
+                    raise CheckpointFormatError(f"tensor {key!r} has shape {named[key].shape}, "
+                                                f"expected {t.shape}")
         params = pl.params_from_named(named, config.pipeline)
         moments = {moment: {n: named[f"adam.{moment}.{n}"] for n in params.named()}
                    for moment in _MOMENTS}
         adam = AdamState(**moments, **{name: trailer["adam"][name] for name in _ADAM_SCALARS})
         return TrainingCheckpoint(params, adam, config, trailer["step"])
+    except CheckpointFormatError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"malformed checkpoint: {exc!r}") from exc
 
@@ -449,7 +463,8 @@ def evaluate(checkpoint, data_dir, csv_out=None):
     for path in _list_ppm_files(data_dir):
         name = os.path.splitext(os.path.basename(path))[0]
         image = read_ppm(path)
-        out = pl.forward(image, params, config.pipeline, rounding="hard", measure_rate=True)
+        with ad.no_grad():
+            out = pl.forward(image, params, config.pipeline, rounding="hard", measure_rate=True)
         recon = np.clip(np.rint(out.reconstruction.data[0]), 0, 255).astype(np.uint8)
         neural_bpp = out.bpp[0]
         rows.append(_metric_row(f"{name}#neural", neural_bpp, image, recon))

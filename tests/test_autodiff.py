@@ -1,4 +1,5 @@
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -239,6 +240,41 @@ def test_grad_check_clamp_strictly_inside_below_1e6():
 
 
 # --- serialization -------------------------------------------------------------
+
+
+def test_no_grad_links_no_parents_and_taping_resumes():
+    x = leaf([1.0, -2.0])
+    with ad.no_grad():
+        y = ad.tanh(ad.hadamard_mul(x, x))
+    assert not y.requires_grad and y._parents == () and y._backward is None
+    assert np.array_equal(y.data, np.tanh(x.data * x.data))
+    with pytest.raises(RuntimeError, match="inside"):
+        with ad.no_grad():
+            raise RuntimeError("inside")
+    z = ad.reduce_mean(ad.hadamard_mul(x, x))
+    assert z.requires_grad and z._parents
+    ad.backward(z)
+    assert np.array_equal(x.grad, x.data)
+
+
+def test_no_grad_leaves_other_threads_taping():
+    x = leaf([3.0])
+    entered, done, results = threading.Event(), threading.Event(), []
+
+    def other_thread():
+        entered.wait(10)
+        results.append(ad.scalar_mul(x, 2.0).requires_grad)
+        done.set()
+
+    worker = threading.Thread(target=other_thread)
+    worker.start()
+    with ad.no_grad():
+        entered.set()
+        assert done.wait(10)
+        assert not ad.scalar_mul(x, 2.0).requires_grad
+    worker.join(10)
+    assert not worker.is_alive()
+    assert results == [True]
 
 
 def test_named_tensor_container_roundtrip_bit_exact():

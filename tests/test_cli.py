@@ -160,6 +160,22 @@ def test_truncated_checkpoint_exits_3(trained, tmp_path, capsys, keep):
     assert "invalid input data" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["qtable", "encode"])
+def test_checkpoint_with_a_reshaped_tensor_exits_3(trained, workdir, capsys, command):
+    # smrnn.U keeps its element count and the container stays valid; only
+    # its shape differs from the one the stored config gives it.
+    tmp, ckpt = trained
+    blob = ckpt.read_bytes()
+    named, end = tr.load_tensors(blob)
+    assert named["smrnn.U"].shape == (16, 64)
+    named["smrnn.U"] = named["smrnn.U"].reshape(32, 32)
+    bad = tmp / "reshaped.ckpt"
+    bad.write_bytes(tr.save_tensors(named) + blob[end:])
+    args = {"qtable": [], "encode": ["--input", str(workdir[1]), "--output", str(tmp / "x.jpg")]}
+    assert main([command, "--checkpoint", str(bad), *args[command]]) == 3
+    assert "tensor 'smrnn.U' has shape (32, 32), expected (16, 64)" in capsys.readouterr().err
+
+
 def test_config_with_unknown_key_exits_1(tmp_path, capsys):
     data = tmp_path / "data"
     data.mkdir()

@@ -199,3 +199,23 @@ def test_frame_larger_than_its_scan_rejected_before_allocating(valid_stream):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_scan_components_out_of_frame_order_rejected():
+    # T.81 B.2.3: a scan lists its components in frame order (libjpeg:
+    # "Invalid component ID 1 in SOS").  Swapping ids 1 and 3 is a 2-byte patch.
+    stream = encode_baseline(np.full((32, 48, 3), 90, dtype=np.uint8), tables_for_quality(100))
+    sos = stream.index(b"\xff\xda")
+    assert stream[sos + 5 : sos + 11 : 2] == b"\x01\x02\x03"
+    swapped = bytearray(stream)
+    swapped[sos + 5], swapped[sos + 9] = 3, 1
+    with pytest.raises(JpegFormatError, match=r"scan components \[3, 2, 1\] are not the frame's"):
+        entropy_decode(bytes(swapped))
+
+
+def test_repeated_frame_component_id_rejected(valid_stream):
+    sof = valid_stream.index(b"\xff\xc0")
+    patched = bytearray(valid_stream)
+    patched[sof + 13] = 1  # the second component takes the first one's id
+    with pytest.raises(JpegFormatError, match="SOF0 repeats component id 1"):
+        entropy_decode(bytes(patched))

@@ -1,4 +1,6 @@
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -177,21 +179,61 @@ def test_checkpoint_roundtrip_bit_exact():
     assert loaded.config == cfg
 
 
-def tiny_checkpoint_bytes():
-    """A complete checkpoint whose tensors all hold one value: a few KB."""
+@pytest.fixture(scope="module")
+def init_checkpoint():
+    """A loadable checkpoint of the quick config at initialization: 4.9 MB,
+    nearly all of it stem weights."""
     cfg = quick_config()
-    names = pl.init_pipeline(cfg.pipeline).named()
-    params = pl.params_from_named({name: np.ones(1) for name in names}, cfg.pipeline)
+    params = pl.init_pipeline(cfg.pipeline)
     return tr.checkpoint_bytes(tr.TrainingCheckpoint(params, tr.init_adam(params.named()),
                                                      cfg, 0))
 
 
-def test_every_truncated_checkpoint_raises_checkpoint_format_error():
-    blob = tiny_checkpoint_bytes()
+def test_every_truncated_checkpoint_raises_checkpoint_format_error(init_checkpoint):
+    blob = init_checkpoint
     assert tr.checkpoint_from_bytes(blob).step == 0
-    for end in range(len(blob)):
+    # Every cut inside one tensor's payload fails alike, so of those only the
+    # first two and the last are tried; every other prefix is.
+    named, end = load_tensors(blob)
+    cuts, first, pos = set(), 0, 4
+    for name, value in named.items():
+        payload = pos + 8 + len(name.encode()) + 4 * value.ndim
+        pos = payload + 8 * value.size
+        cuts.update(range(first, payload + 2))
+        first = pos - 1
+    assert pos == end
+    cuts.update(range(first, len(blob)))
+    for cut in sorted(cuts):
         with pytest.raises(CheckpointFormatError):
-            tr.checkpoint_from_bytes(blob[:end])
+            tr.checkpoint_from_bytes(blob[:cut])
+
+
+@pytest.mark.parametrize(
+    "name, shape",
+    [("smrnn.U", (32, 32)), ("adam.v.stem.w4", (128, 256)), ("qtables.luma", (64,))],
+)
+def test_checkpoint_tensor_of_wrong_shape_raises_checkpoint_format_error(init_checkpoint,
+                                                                         name, shape):
+    named, end = load_tensors(init_checkpoint)
+    named[name] = named[name].reshape(shape)
+    with pytest.raises(CheckpointFormatError, match=rf"tensor '{name}' has shape"):
+        tr.checkpoint_from_bytes(tr.save_tensors(named) + init_checkpoint[end:])
+
+
+def test_checkpoint_hidden_size_beyond_its_tensors_rejected_before_allocating(init_checkpoint):
+    # At hidden_size 4096 the refiner alone would take 2 x 128 MB.
+    end = load_tensors(init_checkpoint)[1]
+    trailer = init_checkpoint[end:].replace(b'"hidden_size": 16', b'"hidden_size": 4096')
+    assert trailer != init_checkpoint[end:]
+    blob = init_checkpoint[:end] + trailer
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointFormatError, match="hidden_size 4096 does not fit"):
+            tr.checkpoint_from_bytes(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(blob)
 
 
 @pytest.mark.parametrize(
@@ -204,8 +246,8 @@ def test_every_truncated_checkpoint_raises_checkpoint_format_error():
     ],
     ids=["not-an-object", "not-utf8", "missing-step", "unknown-config-key"],
 )
-def test_malformed_checkpoint_trailer_raises_checkpoint_format_error(edit):
-    blob = tiny_checkpoint_bytes()
+def test_malformed_checkpoint_trailer_raises_checkpoint_format_error(init_checkpoint, edit):
+    blob = init_checkpoint
     end = load_tensors(blob)[1]
     trailer = edit(blob[end:])
     assert trailer != blob[end:]
