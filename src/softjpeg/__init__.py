@@ -17,11 +17,10 @@ and checkpoints in :mod:`softjpeg.training`; the differentiable pipeline in
 
 __version__ = "0.1.0"
 
-from . import autodiff, codec, editor, losses, pipeline, training, validation
-from .estimator import LearnedJpeg
+from . import autodiff, codec, editor, losses, pipeline, training
+from .estimator import LearnedJpeg, NotFittedError
 from .losses import LossConfig
 from .training import TrainConfig
-from .validation import NotFittedError
 
 __all__ = [
     "LearnedJpeg",
@@ -35,5 +34,4 @@ __all__ = [
     "losses",
     "pipeline",
     "training",
-    "validation",
 ]

@@ -278,13 +278,13 @@ def narrow(a, axis, start, length):
     return _result(a.data[idx].copy(), "narrow", (a,), bwd)
 
 
-def soft_round(a, alternate_sign=False):
+def soft_round(a, alternate_sign):
     """Differentiable rounding surrogate.
 
-    Default form is r + (r - x)^3 with r = round-half-away(x); the backward
-    pass treats r as locally constant, so the derivative is -3 (r - x)^2.
-    With ``alternate_sign`` the correction is (x - r)^3 and the derivative
-    +3 (x - r)^2.
+    The verbatim form is r + (r - x)^3 with r = round-half-away(x); the
+    backward pass treats r as locally constant, so the derivative is
+    -3 (r - x)^2.  With ``alternate_sign`` (the form training uses) the
+    correction is (x - r)^3 and the derivative +3 (x - r)^2.
     """
     r = round_half_away(a.data)
     d = r - a.data

@@ -102,7 +102,7 @@ def init_stem(rng):
     return StemParams(w1, b1, w2, b2, w3, b3, w4, b4)
 
 
-def init_refiner(rng, hidden_size=64):
+def init_refiner(rng, hidden_size):
     h = int(hidden_size)
     scale = 1.0 / np.sqrt(h)
 
@@ -166,7 +166,7 @@ def _scores_from_map(h_map, refiner, k, steps):
     return kwta(ad.matmul(z, refiner.U), k)
 
 
-def edit_scores(image, stem, refiner, k, steps=3):
+def edit_scores(image, stem, refiner, k, steps):
     """Encoder-side sparse edit values for every block.
 
     Returns (c_L, c_C), each (num_blocks, 64) with at most k nonzero entries
@@ -178,7 +178,7 @@ def edit_scores(image, stem, refiner, k, steps=3):
     return _scores_from_map(h_l, refiner, k, steps), _scores_from_map(h_c, refiner, k, steps)
 
 
-def coefficient_edit_scores(dequantized, refiner, k, steps=3):
+def coefficient_edit_scores(dequantized, refiner, k, steps):
     """Decoder-side edit values from dequantized coefficient rows (N, 64)."""
     h_map = ad.clamp(ad.scalar_mul(dequantized, COEFF_INPUT_SCALE), -1.0, 1.0)
     return _scores_from_map(h_map, refiner, k, steps)

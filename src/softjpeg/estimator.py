@@ -9,8 +9,8 @@ rasters.  The object composes with sklearn pipelines by duck typing; no
 sklearn import is needed.
 """
 
-import inspect
-from dataclasses import asdict, fields
+import os
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -18,9 +18,48 @@ from . import pipeline as pl
 from . import training as tr
 from .codec import decode_baseline
 from .losses import LossConfig
-from .validation import check_data_source, check_image_list, check_is_fitted
+from .training import TrainConfig
 
 
+class NotFittedError(RuntimeError):
+    """The estimator was used before ``fit`` (or loading a checkpoint)."""
+
+
+def _check_is_fitted(estimator):
+    if estimator.params_ is None:
+        raise NotFittedError(
+            f"{type(estimator).__name__} is not fitted yet; call fit() or load a checkpoint"
+        )
+
+
+def _check_rgb_image(image):
+    """Validate and return an (H, W, 3) uint8 raster."""
+    arr = np.asarray(image)
+    if arr.ndim != 3 or arr.shape[2] != 3:
+        raise ValueError(f"expected an (H, W, 3) image, got shape {arr.shape}")
+    if arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError("image must have at least one pixel")
+    if arr.dtype != np.uint8:
+        if np.issubdtype(arr.dtype, np.floating) and not np.all(arr == np.rint(arr)):
+            raise ValueError("float images must hold integral values in [0, 255]")
+        if arr.min() < 0 or arr.max() > 255:
+            raise ValueError("image values must lie in [0, 255]")
+        arr = arr.astype(np.uint8)
+    return np.ascontiguousarray(arr)
+
+
+def _check_image_list(X):
+    """Accept a single image or an iterable of images; return a list of rasters."""
+    if isinstance(X, np.ndarray) and X.ndim == 3:
+        return [_check_rgb_image(X)]
+    if isinstance(X, np.ndarray) and X.ndim == 4:
+        return [_check_rgb_image(img) for img in X]
+    if isinstance(X, (list, tuple)):
+        return [_check_rgb_image(img) for img in X]
+    raise ValueError("expected an image, an array batch, or a list of images")
+
+
+@dataclass(eq=False)
 class LearnedJpeg:
     """Jointly learn quantization tables and sparse coefficient edits.
 
@@ -32,56 +71,35 @@ class LearnedJpeg:
     baseline JPEG decoder can read.
     """
 
-    def __init__(
-        self,
-        steps=200,
-        batch_size=8,
-        patch_size=64,
-        num_patches=64,
-        lr0=3e-4,
-        lr_end=1e-8,
-        decay_power=1.0,
-        table_lr_scale=1e-2,
-        hidden_size=64,
-        kwta_k=32,
-        refine_steps=3,
-        table_scale=1e-5,
-        soft_round_alternate=True,
-        lam=0.9,
-        gamma=0.0,
-        sigma=0.25,
-        alpha=1e-3,
-        beta=1e-3,
-        seed=0,
-    ):
-        self.steps = steps
-        self.batch_size = batch_size
-        self.patch_size = patch_size
-        self.num_patches = num_patches
-        self.lr0 = lr0
-        self.lr_end = lr_end
-        self.decay_power = decay_power
-        self.table_lr_scale = table_lr_scale
-        self.hidden_size = hidden_size
-        self.kwta_k = kwta_k
-        self.refine_steps = refine_steps
-        self.table_scale = table_scale
-        self.soft_round_alternate = soft_round_alternate
-        self.lam = lam
-        self.gamma = gamma
-        self.sigma = sigma
-        self.alpha = alpha
-        self.beta = beta
-        self.seed = seed
-        self.params_ = None
-        self.config_ = None
-        self.history_ = None
-        self.adam_ = None
+    steps: int = TrainConfig.steps
+    # The desk-scale data sizes the README documents; the rest are
+    # TrainConfig's and LossConfig's defaults.
+    batch_size: int = 8
+    patch_size: int = 64
+    num_patches: int = 64
+    lr0: float = TrainConfig.lr0
+    lr_end: float = TrainConfig.lr_end
+    decay_power: float = TrainConfig.decay_power
+    table_lr_scale: float = TrainConfig.table_lr_scale
+    hidden_size: int = TrainConfig.hidden_size
+    kwta_k: int = TrainConfig.kwta_k
+    refine_steps: int = TrainConfig.refine_steps
+    table_scale: float = TrainConfig.table_scale
+    soft_round_alternate: bool = TrainConfig.soft_round_alternate
+    lam: float = LossConfig.lam
+    gamma: float = LossConfig.gamma
+    sigma: float = LossConfig.sigma
+    alpha: float = LossConfig.alpha
+    beta: float = LossConfig.beta
+    seed: int = TrainConfig.seed
+    params_: pl.PipelineParams = field(default=None, init=False, repr=False)
+    config_: TrainConfig = field(default=None, init=False, repr=False)
+    history_: list = field(default=None, init=False, repr=False)
+    adam_: tr.AdamState = field(default=None, init=False, repr=False)
 
     @classmethod
     def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [name for name in sig.parameters if name != "self"]
+        return [f.name for f in fields(cls) if f.init]
 
     def get_params(self, deep=True):
         return {name: getattr(self, name) for name in self._param_names()}
@@ -101,18 +119,19 @@ class LearnedJpeg:
         def values(cls):
             return {f.name: getattr(self, f.name) for f in fields(cls) if f.name != "loss"}
 
-        return tr.TrainConfig(loss=LossConfig(**values(LossConfig)), **values(tr.TrainConfig))
+        return TrainConfig(loss=LossConfig(**values(LossConfig)), **values(TrainConfig))
 
     def fit(self, X, y=None):
         """Train on a directory of P6 images or a list of (H, W, 3) rasters."""
         config = self._train_config()
-        kind, source = check_data_source(X)
-        if kind == "dir":
-            patches = tr.load_patches(source, config.patch_size, config.num_patches,
-                                      config.seed)
+        if isinstance(X, (str, os.PathLike)):
+            if not os.path.isdir(X):
+                raise ValueError(f"{os.fspath(X)!r} is not a directory")
+            patches = tr.load_patches(X, config.patch_size, config.num_patches, config.seed)
         else:
             rng = np.random.default_rng(config.seed)
-            patches = tr.sample_patches(source, config.patch_size, config.num_patches, rng)
+            patches = tr.sample_patches(_check_image_list(X), config.patch_size,
+                                        config.num_patches, rng)
         checkpoint, history = tr.train_on_patches(patches, config)
         self.params_ = checkpoint.params
         self.adam_ = checkpoint.adam
@@ -122,9 +141,9 @@ class LearnedJpeg:
 
     def transform(self, X):
         """Compress images into standard JFIF byte streams."""
-        check_is_fitted(self)
+        _check_is_fitted(self)
         return [pl.encode_stream(img, self.params_, self.config_.pipeline)
-                for img in check_image_list(X)]
+                for img in _check_image_list(X)]
 
     def fit_transform(self, X, y=None):
         return self.fit(X, y).transform(X)
@@ -137,14 +156,12 @@ class LearnedJpeg:
 
     def quantization_tables(self):
         """The learned integer tables as a QuantTablePair."""
-        check_is_fitted(self)
+        _check_is_fitted(self)
         return pl.export_tables(self.params_.tables)
 
     def save(self, path):
-        check_is_fitted(self)
-        ckpt = tr.TrainingCheckpoint(self.params_, self.adam_, self.config_,
-                                     self.config_.steps)
-        tr.save_checkpoint(ckpt, path)
+        _check_is_fitted(self)
+        tr.save_checkpoint(tr.TrainingCheckpoint(self.params_, self.adam_, self.config_), path)
         return self
 
     @classmethod

@@ -90,7 +90,7 @@ def psnr(x, xhat):
     return psnr_from_mse(mse(np.asarray(x, float), np.asarray(xhat, float)))
 
 
-def distortion_loss(x, xhat, gamma=0.0, features=None):
+def distortion_loss(x, xhat, gamma, features=None):
     """MSE plus an optional feature-space proxy term.
 
     ``features`` maps an image tensor to a feature tensor (the vision stem);

@@ -45,11 +45,13 @@ _COLOR_ROWS = {name: RGB_FROM_YCBCR[i] for i, name in enumerate(("R", "G", "B"))
 
 @dataclass
 class PipelineConfig:
-    hidden_size: int = 64
-    kwta_k: int = 32
-    refine_steps: int = 3
-    table_scale: float = 1e-5
-    soft_round_alternate: bool = False
+    """The model fields of a TrainConfig; build it as ``TrainConfig.pipeline``."""
+
+    hidden_size: int
+    kwta_k: int
+    refine_steps: int
+    table_scale: float
+    soft_round_alternate: bool
 
 
 @dataclass

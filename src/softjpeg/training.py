@@ -16,7 +16,7 @@ from . import pipeline as pl
 from .autodiff import Tensor
 from .codec import bits_per_pixel, decode_baseline, encode_baseline, read_ppm, tables_for_quality
 from .editor import stem_forward
-from .losses import LossConfig, loss_terms, msssim, msssim_db, psnr, ssim
+from .losses import LossConfig, loss_terms, msssim, msssim_db, psnr_from_mse, ssim
 from .losses import mse as mse_metric
 
 
@@ -47,14 +47,25 @@ class TrainConfig:
     def __post_init__(self):
         if not isinstance(self.loss, LossConfig):
             self.loss = _config_from_dict(LossConfig, self.loss)
-        if self.patch_size % 8:
-            raise ValueError(f"patch_size must be a multiple of 8, got {self.patch_size}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        for key, ok, need in (
+            ("steps", self.steps >= 1, ">= 1"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("patch_size", self.patch_size >= 8 and self.patch_size % 8 == 0,
+             "a multiple of 8, at least 8"),
+            ("num_patches", self.num_patches >= 1, ">= 1"),
+            ("decay_power", self.decay_power > 0, "> 0"),
+            ("table_lr_scale", self.table_lr_scale >= 0, ">= 0"),
+            ("seed", self.seed >= 0, ">= 0"),
+            ("hidden_size", self.hidden_size >= 1, ">= 1"),
+            ("kwta_k", self.kwta_k >= 0, ">= 0"),
+            ("refine_steps", self.refine_steps >= 0, ">= 0"),
+            ("table_scale", self.table_scale > 0, "> 0"),
+        ):
+            if not ok:
+                raise ValueError(f"TrainConfig key {key!r} must be {need}, "
+                                 f"got {getattr(self, key)!r}")
         if not self.lr0 > self.lr_end > 0:
             raise ValueError(f"need lr0 > lr_end > 0, got {self.lr0}, {self.lr_end}")
-        if self.steps < 1:
-            raise ValueError("steps must be at least 1")
 
     @property
     def pipeline(self):
@@ -74,8 +85,8 @@ _JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,)}
 
 
 def _config_from_dict(cls, data):
-    """Build a config dataclass from a JSON object, naming any unknown key or
-    any value of the wrong type."""
+    """Build a dataclass from a JSON object, naming any unknown key or any
+    scalar of the wrong type."""
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {type(data).__name__}")
     types = {f.name: f.type for f in fields(cls)}
@@ -103,10 +114,12 @@ class AdamState:
 
 @dataclass
 class TrainingCheckpoint:
+    """Parameters, optimizer state and config; ``adam.step`` counts the
+    updates taken, so a resumed run continues from there."""
+
     params: pl.PipelineParams
     adam: AdamState
     config: TrainConfig
-    step: int
 
 
 def init_adam(named_params):
@@ -198,7 +211,7 @@ def _table_lr_scales(params, config):
     return {name: config.table_lr_scale for name in params.tables.named()}
 
 
-def _feature_fn(params, config):
+def _feature_fn(params):
     def features(image_tensor):
         x = ad.scalar_mul(ad.transpose(image_tensor, (0, 3, 1, 2)), 1.0 / 255.0)
         return stem_forward(x, params.stem)
@@ -213,7 +226,7 @@ def train_step(params, config, adam, batch, step):
     """
     out = pl.forward(batch, params, config.pipeline, rounding="soft")
     x = Tensor(np.asarray(batch, dtype=np.float64))
-    features = _feature_fn(params, config) if config.loss.gamma > 0 else None
+    features = _feature_fn(params) if config.loss.gamma > 0 else None
     terms = loss_terms(x, out.reconstruction, params.tables, out.scores,
                        config.loss, features)
     for t in params.named().values():
@@ -251,7 +264,7 @@ def train_on_patches(patches, config, log=None, resume=None, stop_step=None, on_
     record)`` runs after every update, for debug-mode invariant checks.
     """
     if resume is not None:
-        params, adam, start = resume.params, resume.adam, resume.step
+        params, adam, start = resume.params, resume.adam, resume.adam.step
     else:
         params = pl.init_pipeline(config.pipeline, seed=config.seed)
         adam = init_adam(params.named())
@@ -268,7 +281,7 @@ def train_on_patches(patches, config, log=None, resume=None, stop_step=None, on_
             log(_TRAIN_LOG_ROW.format(**record))
         if on_step is not None:
             on_step(params, record)
-    return TrainingCheckpoint(params, adam, config, stop), history
+    return TrainingCheckpoint(params, adam, config), history
 
 
 def train(config, data_dir, out_path, log=None):
@@ -357,7 +370,7 @@ def checkpoint_bytes(ckpt):
             named[f"adam.{moment}.{name}"] = value
     trailer = {
         "format": _CHECKPOINT_FORMAT,
-        "step": ckpt.step,
+        "step": ckpt.adam.step,
         "adam": {name: getattr(ckpt.adam, name) for name in _ADAM_SCALARS},
         "config": ckpt.config.to_dict(),
     }
@@ -387,8 +400,13 @@ def checkpoint_from_bytes(blob):
         params = pl.params_from_named(named, config.pipeline)
         moments = {moment: {n: named[f"adam.{moment}.{n}"] for n in params.named()}
                    for moment in _MOMENTS}
-        adam = AdamState(**moments, **{name: trailer["adam"][name] for name in _ADAM_SCALARS})
-        return TrainingCheckpoint(params, adam, config, trailer["step"])
+        adam = _config_from_dict(AdamState, {**moments, **{name: trailer["adam"][name]
+                                                           for name in _ADAM_SCALARS}})
+        step = trailer["step"]
+        if type(step) is not int or step < 0 or step != adam.step:
+            raise CheckpointFormatError(f"step {step!r} must be a non-negative int equal to "
+                                        f"the Adam step {adam.step!r}")
+        return TrainingCheckpoint(params, adam, config)
     except CheckpointFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -409,28 +427,26 @@ def load_checkpoint(path):
 
 
 def _match_baseline_quality(image, target_bpp):
-    """Binary-search the quality whose baseline bpp is nearest the target."""
+    """Binary-search the quality whose baseline bpp is nearest the target;
+    returns (quality, bpp, stream)."""
     h, w = image.shape[:2]
 
-    def bpp_at(q):
-        return bits_per_pixel(encode_baseline(image, tables_for_quality(q)), w, h)
+    def encode(q):
+        stream = encode_baseline(image, tables_for_quality(q))
+        return q, bits_per_pixel(stream, w, h), stream
 
-    lo, hi = 1, 100
-    bpp_lo, bpp_hi = bpp_at(lo), bpp_at(hi)
-    if target_bpp <= bpp_lo:
-        return lo, bpp_lo
-    if target_bpp >= bpp_hi:
-        return hi, bpp_hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        bpp_mid = bpp_at(mid)
-        if bpp_mid < target_bpp:
-            lo, bpp_lo = mid, bpp_mid
+    lo, hi = encode(1), encode(100)
+    if target_bpp <= lo[1]:
+        return lo
+    if target_bpp >= hi[1]:
+        return hi
+    while hi[0] - lo[0] > 1:
+        mid = encode((lo[0] + hi[0]) // 2)
+        if mid[1] < target_bpp:
+            lo = mid
         else:
-            hi, bpp_hi = mid, bpp_mid
-    if abs(bpp_lo - target_bpp) <= abs(bpp_hi - target_bpp):
-        return lo, bpp_lo
-    return hi, bpp_hi
+            hi = mid
+    return lo if abs(lo[1] - target_bpp) <= abs(hi[1] - target_bpp) else hi
 
 
 def _metric_row(image_id, bpp, original, decoded):
@@ -439,7 +455,7 @@ def _metric_row(image_id, bpp, original, decoded):
     return {
         "image_id": image_id,
         "bpp": bpp,
-        "psnr_db": psnr(original, decoded),
+        "psnr_db": psnr_from_mse(err),
         "ssim": ssim(original, decoded),
         "msssim": ms,
         "msssim_db": msssim_db(ms),
@@ -469,8 +485,8 @@ def evaluate(checkpoint, data_dir, csv_out=None):
         neural_bpp = out.bpp[0]
         rows.append(_metric_row(f"{name}#neural", neural_bpp, image, recon))
 
-        quality, base_bpp = _match_baseline_quality(image, neural_bpp)
-        decoded = decode_baseline(encode_baseline(image, tables_for_quality(quality)))
+        quality, base_bpp, stream = _match_baseline_quality(image, neural_bpp)
+        decoded = decode_baseline(stream)
         rows.append(_metric_row(f"{name}#jpeg-q{quality}", base_bpp, image, decoded))
 
     if csv_out is not None:

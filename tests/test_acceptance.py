@@ -118,7 +118,7 @@ def test_gradient_integrity_ops_and_full_pipeline():
     # first step that is Richardson-consistent: FD(eps) and FD(eps/2) must
     # agree, proving the window sits inside one smooth piece and above the
     # float cancellation floor of the loss value.
-    config = pl.PipelineConfig()
+    config = tr.TrainConfig().pipeline
     image = make_natural_image(16, 16, seed=77)
     target = Tensor(np.asarray(image, float)[None])
     loss_cfg = LossConfig(lam=0.9, sigma=0.25, alpha=1e-3, beta=1e-3, gamma=0.0)
@@ -166,17 +166,18 @@ def test_gradient_integrity_ops_and_full_pipeline():
 
 def test_soft_round_surrogate():
     integers = np.arange(-1000.0, 1001.0)
-    out = ad.soft_round(Tensor(integers)).data
+    out = ad.soft_round(Tensor(integers), alternate_sign=False).data
     assert np.array_equal(out, integers)
 
     sweep = np.linspace(-500.0, 500.0, 1_000_000)
-    soft = ad.soft_round(Tensor(sweep)).data
+    soft = ad.soft_round(Tensor(sweep), alternate_sign=False).data
     hard = round_half_away(sweep)
     peak = np.abs(soft - hard).max()
     assert peak <= 0.125 + 1e-12
 
     probe = Tensor(sweep, requires_grad=True)
-    ad.backward(ad.scalar_mul(ad.reduce_mean(ad.soft_round(probe)), float(sweep.size)))
+    verbatim = ad.soft_round(probe, alternate_sign=False)
+    ad.backward(ad.scalar_mul(ad.reduce_mean(verbatim), float(sweep.size)))
     expected = -3.0 * (round_half_away(sweep) - sweep) ** 2
     deriv_err = np.abs(probe.grad - expected).max()
     assert deriv_err < 1e-10
@@ -201,7 +202,7 @@ def test_kwta_against_sort_oracle():
 
 def test_baseline_equivalence_bitwise():
     rng = np.random.default_rng(3)
-    config = pl.PipelineConfig()
+    config = tr.TrainConfig().pipeline
     pair = tables_for_quality(50)
     tables = pl.LearnableTables(
         Tensor(pair.luma * config.table_scale, requires_grad=True),

@@ -76,13 +76,13 @@ def test_shape_mismatch_names_op_and_shapes():
 
 def test_soft_round_fixed_points_and_examples():
     x = Tensor([2.0, 0.25, 1.6, -0.25])
-    y = ad.soft_round(x)
+    y = ad.soft_round(x, alternate_sign=False)
     assert np.allclose(y.data, [2.0, -0.015625, 2.064, 0.015625], atol=1e-12)
 
 
 def test_soft_round_backward_is_minus_three_square():
     x = leaf([0.25])
-    ad.backward(ad.reduce_mean(ad.soft_round(x)))
+    ad.backward(ad.reduce_mean(ad.soft_round(x, alternate_sign=False)))
     assert abs(x.grad[0] - (-0.1875)) < 1e-12
 
 
@@ -97,7 +97,7 @@ def test_soft_round_alternate_sign():
 @given(st.floats(-100, 100, allow_nan=False))
 @settings(max_examples=300, deadline=None)
 def test_soft_round_within_eighth_of_hard(value):
-    soft = ad.soft_round(Tensor([value])).data[0]
+    soft = ad.soft_round(Tensor([value]), alternate_sign=False).data[0]
     hard = round_half_away(np.array([value]))[0]
     assert abs(soft - hard) <= 0.125 + 1e-12
 
@@ -197,7 +197,7 @@ def _op_closures(rng):
             ad.hadamard_mul(ad.concat([t, t], axis=1), ad.concat([t, t], axis=1)))),
         "narrow": ((3, 4), lambda t: ad.reduce_mean(
             ad.hadamard_mul(ad.narrow(t, 1, 1, 2), ad.narrow(t, 1, 0, 2)))),
-        "soft_round": ((3, 4), lambda t: ad.reduce_mean(ad.soft_round(t)), rounding_safe),
+        "soft_round": ((3, 4), lambda t: ad.reduce_mean(ad.soft_round(t, False)), rounding_safe),
         "soft_round_alt": ((3, 4), lambda t: ad.reduce_mean(ad.soft_round(t, True)),
                            rounding_safe),
         "kwta": ((3, 8), lambda t: ad.reduce_mean(ad.kwta(t, 4))),

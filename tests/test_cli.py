@@ -113,7 +113,7 @@ def trained(tmp_path_factory):
 def test_train_produces_loadable_checkpoint(trained):
     _, ckpt = trained
     loaded = tr.load_checkpoint(ckpt)
-    assert loaded.step == 1
+    assert loaded.adam.step == 1
 
 
 def test_qtable_prints_128_values_in_range(trained, capsys):
@@ -199,3 +199,22 @@ def test_config_with_wrong_value_type_exits_1(tmp_path, capsys, config, key):
     assert main(["train", "--data", str(data), "--config", str(cfg_path),
                  "--out", str(tmp_path / "model.ckpt")]) == 1
     assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("hidden_size", 0), ("num_patches", 0), ("patch_size", -8), ("patch_size", 0),
+     ("kwta_k", -1), ("refine_steps", -1), ("table_scale", 0.0), ("decay_power", 0.0),
+     ("table_lr_scale", -1.0), ("seed", -1)],
+)
+def test_config_out_of_range_exits_1_without_a_checkpoint(trained, tmp_path, capsys, key, value):
+    tmp, _ = trained
+    config = {"steps": 1, "batch_size": 2, "patch_size": 32, "num_patches": 4,
+              "hidden_size": 16, "kwta_k": 16, key: value}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "model.ckpt"
+    assert main(["train", "--data", str(tmp / "data"), "--config", str(cfg_path),
+                 "--out", str(out)]) == 1
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()

@@ -36,7 +36,7 @@ def tiny_checkpoint_bytes():
     names = pl.init_pipeline(cfg.pipeline).named()
     params = pl.params_from_named({name: np.ones(1) for name in names}, cfg.pipeline)
     adam = tr.init_adam(params.named())
-    return tr.checkpoint_bytes(tr.TrainingCheckpoint(params, adam, cfg, 0))
+    return tr.checkpoint_bytes(tr.TrainingCheckpoint(params, adam, cfg))
 
 
 SEEDS = {

@@ -3,6 +3,7 @@ import pytest
 
 from softjpeg import autodiff as ad
 from softjpeg import pipeline as pl
+from softjpeg import training as tr
 from softjpeg.autodiff import Tensor
 from softjpeg.codec import (
     entropy_decode,
@@ -14,7 +15,7 @@ from softjpeg.editor import init_refiner, init_stem
 from softjpeg.losses import psnr
 
 
-CFG = pl.PipelineConfig()
+CFG = tr.TrainConfig(soft_round_alternate=False).pipeline
 
 
 def tables_from_pair(pair, scale=CFG.table_scale):

@@ -8,7 +8,7 @@ from softjpeg import pipeline as pl
 from softjpeg import training as tr
 from softjpeg.autodiff import Tensor
 from softjpeg.codec import decode_baseline, encode_baseline, tables_for_quality, write_ppm
-from softjpeg.losses import psnr
+from softjpeg.losses import LossConfig, psnr
 from softjpeg.training import CSV_HEADER, CheckpointFormatError, load_tensors
 from tests.conftest import make_natural_image
 
@@ -186,12 +186,12 @@ def init_checkpoint():
     cfg = quick_config()
     params = pl.init_pipeline(cfg.pipeline)
     return tr.checkpoint_bytes(tr.TrainingCheckpoint(params, tr.init_adam(params.named()),
-                                                     cfg, 0))
+                                                     cfg))
 
 
 def test_every_truncated_checkpoint_raises_checkpoint_format_error(init_checkpoint):
     blob = init_checkpoint
-    assert tr.checkpoint_from_bytes(blob).step == 0
+    assert tr.checkpoint_from_bytes(blob).adam.step == 0
     # Every cut inside one tensor's payload fails alike, so of those only the
     # first two and the last are tried; every other prefix is.
     named, end = load_tensors(blob)
@@ -236,6 +236,11 @@ def test_checkpoint_hidden_size_beyond_its_tensors_rejected_before_allocating(in
     assert peak < 2 * len(blob)
 
 
+def top_level_step(trailer, value):
+    """The trailer with its last key, the top-level "step", set to ``value``."""
+    return trailer[: trailer.rindex(b'"step"')] + b'"step": ' + value + b"}"
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -243,8 +248,14 @@ def test_checkpoint_hidden_size_beyond_its_tensors_rejected_before_allocating(in
         lambda trailer: b"\xff",
         lambda trailer: trailer.replace(b', "step": 0}', b"}"),
         lambda trailer: trailer.replace(b'"steps": 6', b'"stepz": 6'),
+        lambda trailer: trailer.replace(b'"hidden_size": 16', b'"hidden_size": 0'),
+        lambda trailer: top_level_step(trailer, b'"x"'),
+        lambda trailer: top_level_step(trailer, b"1"),
+        lambda trailer: trailer.replace(b'"step": 0', b'"step": -1'),
+        lambda trailer: trailer.replace(b'"beta1": 0.9', b'"beta1": "x"'),
     ],
-    ids=["not-an-object", "not-utf8", "missing-step", "unknown-config-key"],
+    ids=["not-an-object", "not-utf8", "missing-step", "unknown-config-key", "zero-hidden-size",
+         "step-not-an-int", "step-not-the-adam-step", "negative-step", "adam-scalar-not-a-number"],
 )
 def test_malformed_checkpoint_trailer_raises_checkpoint_format_error(init_checkpoint, edit):
     blob = init_checkpoint
@@ -274,13 +285,27 @@ def test_config_from_dict_checks_value_types():
             tr.TrainConfig.from_dict(data)
 
 
+def test_feature_proxy_raises_distortion_and_reaches_the_stem():
+    batch = np.stack(quick_patches(4))
+    runs = {}
+    for gamma in (0.0, 0.5):
+        cfg = quick_config(loss=LossConfig(gamma=gamma))
+        params = pl.init_pipeline(cfg.pipeline, seed=cfg.seed)
+        record = tr.train_step(params, cfg, tr.init_adam(params.named()), batch, 0)
+        runs[gamma] = record, params
+    (plain, plain_params), (proxy, proxy_params) = runs[0.0], runs[0.5]
+    assert np.isfinite(proxy["d"]) and proxy["d"] > plain["d"]
+    for name, t in proxy_params.stem.named().items():
+        assert not np.array_equal(t.grad, plain_params.stem.named()[name].grad), name
+
+
 def test_resume_matches_uninterrupted_run(tmp_path):
     patches = quick_patches()
     cfg = quick_config(steps=8)
     _, hist_full = tr.train_on_patches(patches, cfg)
 
     half_ckpt, hist_half = tr.train_on_patches(patches, cfg, stop_step=5)
-    assert half_ckpt.step == 5
+    assert half_ckpt.adam.step == 5
     path = tmp_path / "half.ckpt"
     tr.save_checkpoint(half_ckpt, path)
     resumed = tr.load_checkpoint(path)
@@ -297,7 +322,7 @@ def test_train_writes_loadable_checkpoint(tmp_path):
     out = tmp_path / "model.ckpt"
     tr.train(cfg, data_dir, out)
     loaded = tr.load_checkpoint(out)
-    assert loaded.step == 1
+    assert loaded.adam.step == 1
     assert loaded.config.patch_size == 32
 
 
