@@ -1,9 +1,13 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
 The operator set is exactly what the differentiable coding pipeline needs.
-Tensors wrap numpy arrays; ops record a backward closure and parent links,
-and ``backward`` sweeps nodes in reverse creation order (creation order is
-a topological order because operands always exist before their result).
+Tensors wrap numpy arrays.  An op links its result to each operand that
+requires a gradient, with a vector-Jacobian product (VJP) for that operand;
+operands that do not are never linked, so no term is computed for them.
+``backward`` owns gradient flow: it sweeps nodes in reverse creation order
+(creation order is a topological order because operands always exist
+before their result), sums each node's terms, hands the sum to its parents
+once and frees it.  Only leaves that require a gradient keep ``.grad``.
 
 There is no broadcasting except ``scalar_mul``: shape mismatches raise
 ``ShapeError`` naming the op and both shapes.  A graph is single-threaded
@@ -30,18 +34,23 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    """A dense float64 array with an optional gradient slot and graph linkage."""
+    """A dense float64 array with graph linkage and a gradient slot.
 
-    __slots__ = ("data", "grad", "requires_grad", "node_id", "op", "_parents", "_backward")
+    ``_parents`` holds one ``(parent, vjp)`` pair per operand that requires
+    a gradient.  ``backward`` writes ``grad`` only on leaves (tensors with
+    no parents) that require a gradient; interior nodes and constants keep
+    ``grad is None``.
+    """
 
-    def __init__(self, data, requires_grad=False, op="leaf", parents=(), backward=None):
+    __slots__ = ("data", "grad", "requires_grad", "node_id", "op", "_parents")
+
+    def __init__(self, data, requires_grad=False, op="leaf", parents=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self.node_id = next(_COUNTER)
         self.op = op
         self._parents = tuple(parents)
-        self._backward = backward
 
     @property
     def shape(self):
@@ -79,25 +88,26 @@ def no_grad():
         _TAPING.reset(token)
 
 
-def _result(data, op, parents, backward_fn):
-    if _TAPING.get() and any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, op=op, parents=parents, backward=backward_fn)
+def _result(data, op, pairs):
+    """Wrap an op's output; ``pairs`` holds one ``(operand, vjp)`` per operand.
+
+    Only operands that require a gradient are linked, so a constant's VJP
+    is never called.
+    """
+    if _TAPING.get():
+        pairs = tuple((p, vjp) for p, vjp in pairs if p.requires_grad)
+        if pairs:
+            return Tensor(data, requires_grad=True, op=op, parents=pairs)
     return Tensor(data, op=op)
 
 
-def _accumulate(t, grad):
-    if t.grad is None:
-        t.grad = np.array(grad, dtype=np.float64, copy=True)
-    else:
-        t.grad = t.grad + grad
-
-
 def backward(loss):
-    """Populate gradients of everything reachable from a scalar loss."""
+    """Add d(loss)/d(leaf) to ``.grad`` of every leaf that requires a gradient."""
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     # Reverse creation order over the reachable subgraph is a valid
-    # reverse-topological order, so every node is visited exactly once.
+    # reverse-topological order, so every node is visited exactly once and
+    # after all of its consumers have added their terms.
     reachable = {}
     stack = [loss]
     while stack:
@@ -105,11 +115,22 @@ def backward(loss):
         if t.node_id in reachable:
             continue
         reachable[t.node_id] = t
-        stack.extend(t._parents)
-    loss.grad = np.ones_like(loss.data)
+        stack.extend(p for p, _ in t._parents)
+    # A leaf's earlier gradient is the first term of its sum, as if the
+    # terms were added to it one by one.
+    grads = {i: t.grad for i, t in reachable.items() if not t._parents and t.grad is not None}
+    grads[loss.node_id] = np.ones_like(loss.data)
     for t in sorted(reachable.values(), key=lambda t: t.node_id, reverse=True):
-        if t._backward is not None and t.grad is not None:
-            t._backward(t.grad)
+        g = grads.pop(t.node_id)
+        if not t._parents:
+            if t.requires_grad:
+                # A copy: a VJP may hand the same array to several operands.
+                t.grad = np.array(g, dtype=np.float64)
+            continue
+        for parent, vjp in t._parents:
+            term = vjp(g)
+            prev = grads.get(parent.node_id)
+            grads[parent.node_id] = term if prev is None else prev + term
 
 
 def _same_shape(op, a, b):
@@ -119,95 +140,56 @@ def _same_shape(op, a, b):
 
 def add(a, b):
     _same_shape("add", a, b)
-
-    def bwd(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
-
-    return _result(a.data + b.data, "add", (a, b), bwd)
+    return _result(a.data + b.data, "add", ((a, lambda g: g), (b, lambda g: g)))
 
 
 def sub(a, b):
     _same_shape("sub", a, b)
-
-    def bwd(g):
-        _accumulate(a, g)
-        _accumulate(b, -g)
-
-    return _result(a.data - b.data, "sub", (a, b), bwd)
+    return _result(a.data - b.data, "sub", ((a, lambda g: g), (b, lambda g: -g)))
 
 
 def hadamard_mul(a, b):
     _same_shape("hadamard_mul", a, b)
-
-    def bwd(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
-
-    return _result(a.data * b.data, "hadamard_mul", (a, b), bwd)
+    return _result(a.data * b.data, "hadamard_mul",
+                   ((a, lambda g: g * b.data), (b, lambda g: g * a.data)))
 
 
 def scalar_mul(a, s):
     s = float(s)
-
-    def bwd(g):
-        _accumulate(a, g * s)
-
-    return _result(a.data * s, "scalar_mul", (a,), bwd)
+    return _result(a.data * s, "scalar_mul", ((a, lambda g: g * s),))
 
 
 def matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError("matmul", a.shape, b.shape)
-
-    def bwd(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
-
-    return _result(a.data @ b.data, "matmul", (a, b), bwd)
+    return _result(a.data @ b.data, "matmul",
+                   ((a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g)))
 
 
 def reciprocal(a):
     inv = 1.0 / a.data
-
-    def bwd(g):
-        _accumulate(a, -g * inv * inv)
-
-    return _result(inv, "reciprocal", (a,), bwd)
+    return _result(inv, "reciprocal", ((a, lambda g: -g * inv * inv),))
 
 
 def sigmoid(a):
     y = 1.0 / (1.0 + np.exp(-a.data))
-
-    def bwd(g):
-        _accumulate(a, g * y * (1.0 - y))
-
-    return _result(y, "sigmoid", (a,), bwd)
+    return _result(y, "sigmoid", ((a, lambda g: g * y * (1.0 - y)),))
 
 
 def tanh(a):
     y = np.tanh(a.data)
-
-    def bwd(g):
-        _accumulate(a, g * (1.0 - y * y))
-
-    return _result(y, "tanh", (a,), bwd)
+    return _result(y, "tanh", ((a, lambda g: g * (1.0 - y * y)),))
 
 
 def reduce_mean(a):
     n = a.size
-
-    def bwd(g):
-        _accumulate(a, np.full(a.shape, float(g) / n))
-
-    return _result(np.mean(a.data), "reduce_mean", (a,), bwd)
+    return _result(np.mean(a.data), "reduce_mean",
+                   ((a, lambda g: np.full(a.shape, float(g) / n)),))
 
 
 def reduce_l1(a):
-    def bwd(g):
-        _accumulate(a, float(g) * np.sign(a.data))
-
-    return _result(np.sum(np.abs(a.data)), "reduce_l1", (a,), bwd)
+    return _result(np.sum(np.abs(a.data)), "reduce_l1",
+                   ((a, lambda g: float(g) * np.sign(a.data)),))
 
 
 def clamp(a, lo, hi):
@@ -216,30 +198,18 @@ def clamp(a, lo, hi):
         raise ValueError(f"clamp: lo {lo} exceeds hi {hi}")
     # Subgradient is 1 on the closed interval [lo, hi], 0 strictly outside.
     inside = (a.data >= lo) & (a.data <= hi)
-
-    def bwd(g):
-        _accumulate(a, g * inside)
-
-    return _result(np.clip(a.data, lo, hi), "clamp", (a,), bwd)
+    return _result(np.clip(a.data, lo, hi), "clamp", ((a, lambda g: g * inside),))
 
 
 def reshape(a, shape):
     old = a.shape
-
-    def bwd(g):
-        _accumulate(a, g.reshape(old))
-
-    return _result(a.data.reshape(shape), "reshape", (a,), bwd)
+    return _result(a.data.reshape(shape), "reshape", ((a, lambda g: g.reshape(old)),))
 
 
 def transpose(a, axes):
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
-
-    def bwd(g):
-        _accumulate(a, g.transpose(inverse))
-
-    return _result(a.data.transpose(axes), "transpose", (a,), bwd)
+    return _result(a.data.transpose(axes), "transpose", ((a, lambda g: g.transpose(inverse)),))
 
 
 def concat(tensors, axis=0):
@@ -253,13 +223,14 @@ def concat(tensors, axis=0):
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def bwd(g):
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(start, stop)
-            _accumulate(t, g[tuple(idx)])
+    def piece(start, stop):
+        idx = [slice(None)] * len(ref)
+        idx[axis] = slice(start, stop)
+        idx = tuple(idx)
+        return lambda g: g[idx]
 
-    return _result(np.concatenate([t.data for t in tensors], axis=axis), "concat", tensors, bwd)
+    pairs = [(t, piece(start, stop)) for t, start, stop in zip(tensors, offsets[:-1], offsets[1:])]
+    return _result(np.concatenate([t.data for t in tensors], axis=axis), "concat", pairs)
 
 
 def narrow(a, axis, start, length):
@@ -270,12 +241,12 @@ def narrow(a, axis, start, length):
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
 
-    def bwd(g):
+    def vjp(g):
         full = np.zeros(a.shape)
         full[idx] = g
-        _accumulate(a, full)
+        return full
 
-    return _result(a.data[idx].copy(), "narrow", (a,), bwd)
+    return _result(a.data[idx].copy(), "narrow", ((a, vjp),))
 
 
 def soft_round(a, alternate_sign):
@@ -296,10 +267,7 @@ def soft_round(a, alternate_sign):
         y = r + d * d * d
         deriv = -3.0 * d * d
 
-    def bwd(g):
-        _accumulate(a, g * deriv)
-
-    return _result(y, "soft_round", (a,), bwd)
+    return _result(y, "soft_round", ((a, lambda g: g * deriv),))
 
 
 def kwta(a, k):
@@ -323,10 +291,7 @@ def kwta(a, k):
         np.put_along_axis(mask, order[:, :k], 1.0, axis=1)
         mask = mask.reshape(a.shape)
 
-    def bwd(g):
-        _accumulate(a, g * mask)
-
-    return _result(a.data * mask, "kwta", (a,), bwd)
+    return _result(a.data * mask, "kwta", ((a, lambda g: g * mask),))
 
 
 def conv2d(x, w, bias=None, stride=1, padding=0):
@@ -354,45 +319,19 @@ def conv2d(x, w, bias=None, stride=1, padding=0):
     if bias is not None:
         out = out + bias.data[None, :, None, None]
 
-    def bwd(g):
-        gf = g.reshape(B, O, Ho * Wo)
-        _accumulate(w, np.matmul(gf, cols2.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape))
-        if bias is not None:
-            _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        dcols = np.matmul(wf.T, gf).reshape(B, C, kh, kw, Ho, Wo)
+    def vjp_x(g):
+        dcols = np.matmul(wf.T, g.reshape(B, O, Ho * Wo)).reshape(B, C, kh, kw, Ho, Wo)
         dxp = np.zeros_like(xp)
         for i in range(kh):
             for j in range(kw):
                 dxp[:, :, i : i + s * Ho : s, j : j + s * Wo : s] += dcols[:, :, i, j]
-        _accumulate(x, dxp[:, :, p : p + H, p : p + W] if p else dxp)
+        return dxp[:, :, p : p + H, p : p + W] if p else dxp
 
-    parents = (x, w) if bias is None else (x, w, bias)
-    return _result(out, "conv2d", parents, bwd)
+    def vjp_w(g):
+        gf = g.reshape(B, O, Ho * Wo)
+        return np.matmul(gf, cols2.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
 
-
-def grad_check(fn, x, eps=1e-4):
-    """Compare analytic gradients of a scalar-valued closure to central differences.
-
-    Returns the max relative error with denominator max(|a|, |b|, 1e-8).
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    probe = Tensor(x.data.copy(), requires_grad=True)
-    out = fn(probe)
-    backward(out)
-    analytic = probe.grad if probe.grad is not None else np.zeros(probe.shape)
-
-    numeric = np.zeros(probe.shape)
-    flat = probe.data.reshape(-1)
-    nflat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = fn(Tensor(probe.data.copy())).item()
-        flat[i] = orig - eps
-        lo = fn(Tensor(probe.data.copy())).item()
-        flat[i] = orig
-        nflat[i] = (hi - lo) / (2.0 * eps)
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))
+    pairs = [(x, vjp_x), (w, vjp_w)]
+    if bias is not None:
+        pairs.append((bias, lambda g: g.sum(axis=(0, 2, 3))))
+    return _result(out, "conv2d", pairs)

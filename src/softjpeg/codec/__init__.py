@@ -5,9 +5,9 @@ Everything here is a pure function of its inputs and safe to call from
 multiple threads.
 """
 
-from .blocks import BLOCK, CoefficientGrid, assemble_plane, partition_plane
-from .color import rgb_to_ycbcr, ycbcr_to_rgb
-from .dct import DCT_MATRIX, fdct_blocks, idct_blocks
+from .blocks import BLOCK, CoefficientGrid, partition_plane
+from .color import rgb_to_ycbcr
+from .dct import DCT_MATRIX, fdct_blocks
 from .errors import CoefficientRangeError, JpegFormatError
 from .jfif import (
     bits_per_pixel,
@@ -22,7 +22,6 @@ from .quant import (
     CHROMA_BASE_TABLE,
     LUMA_BASE_TABLE,
     QuantTablePair,
-    dequantize_blocks,
     quantize_blocks,
     round_half_away,
     tables_for_quality,
@@ -38,18 +37,15 @@ __all__ = [
     "LUMA_BASE_TABLE",
     "PpmFormatError",
     "QuantTablePair",
-    "assemble_plane",
     "bits_per_pixel",
     "decode_baseline",
     "decode_ppm",
-    "dequantize_blocks",
     "encode_baseline",
     "encode_ppm",
     "entropy_decode",
     "entropy_encode",
     "fdct_blocks",
     "forward_grids",
-    "idct_blocks",
     "partition_plane",
     "quantize_blocks",
     "read_ppm",
@@ -57,5 +53,4 @@ __all__ = [
     "round_half_away",
     "tables_for_quality",
     "write_ppm",
-    "ycbcr_to_rgb",
 ]

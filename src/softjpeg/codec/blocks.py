@@ -47,10 +47,3 @@ def partition_plane(plane):
     padded = plane - LEVEL_SHIFT
     *lead, ph, pw = padded.shape
     return np.swapaxes(padded.reshape(*lead, ph // BLOCK, BLOCK, pw // BLOCK, BLOCK), -3, -2)
-
-
-def assemble_plane(blocks, height, width):
-    """Inverse of :func:`partition_plane`: unshift, stitch and crop to size."""
-    rows, cols = blocks.shape[:2]
-    plane = blocks.transpose(0, 2, 1, 3).reshape(rows * BLOCK, cols * BLOCK)
-    return plane[:height, :width] + LEVEL_SHIFT

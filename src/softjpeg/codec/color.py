@@ -11,10 +11,9 @@ _FWD = np.array(
     ]
 )
 _OFFSET = np.array([0.0, 128.0, 128.0])
-_INV = np.linalg.inv(_FWD)
 
 # Inverse rows exposed for code that rebuilds the transform channel-wise.
-RGB_FROM_YCBCR = _INV
+RGB_FROM_YCBCR = np.linalg.inv(_FWD)
 
 
 def rgb_to_ycbcr(rgb):
@@ -26,16 +25,3 @@ def rgb_to_ycbcr(rgb):
     rgb = np.asarray(rgb, dtype=np.float64)
     ycc = rgb @ _FWD.T + _OFFSET
     return np.clip(ycc, 0.0, 255.0)
-
-
-def ycbcr_to_rgb(ycc):
-    """Convert float YCbCr planes back to an (H, W, 3) uint8 RGB raster."""
-    ycc = np.asarray(ycc, dtype=np.float64)
-    rgb = (ycc - _OFFSET) @ _INV.T
-    return np.clip(np.rint(rgb), 0.0, 255.0).astype(np.uint8)
-
-
-def ycbcr_to_rgb_float(ycc):
-    """Same transform as :func:`ycbcr_to_rgb` but without rounding or clamping."""
-    ycc = np.asarray(ycc, dtype=np.float64)
-    return (ycc - _OFFSET) @ _INV.T

@@ -28,7 +28,3 @@ IDCT_FLAT = np.kron(DCT_MATRIX, DCT_MATRIX)
 def fdct_blocks(blocks):
     """Apply the forward DCT to every 8x8 block of a (..., 8, 8) array."""
     return np.einsum("ux,...xy,vy->...uv", DCT_MATRIX, blocks, DCT_MATRIX, optimize=True)
-
-
-def idct_blocks(coeffs):
-    return np.einsum("ux,...uv,vy->...xy", DCT_MATRIX, coeffs, DCT_MATRIX, optimize=True)

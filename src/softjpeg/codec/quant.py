@@ -76,7 +76,3 @@ def round_half_away(x):
 def quantize_blocks(coeffs, table):
     """Quantize (..., 8, 8) coefficient blocks by an 8x8 divisor table."""
     return round_half_away(np.asarray(coeffs, dtype=np.float64) / table).astype(np.int64)
-
-
-def dequantize_blocks(quantized, table):
-    return np.asarray(quantized, dtype=np.float64) * table

@@ -1,5 +1,6 @@
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from softjpeg import autodiff as ad
 from softjpeg import training as tr
 from softjpeg.autodiff import Tensor
 from softjpeg.codec import round_half_away
+from tests.reference import grad_check
 
 
 def leaf(data):
@@ -56,6 +58,46 @@ def test_fanout_gradients_sum():
     x = leaf([1.0])
     ad.backward(ad.reduce_mean(ad.add(x, x)))
     assert x.grad[0] == 2.0
+
+
+def test_gradients_reach_only_leaves_that_require_them():
+    rng = np.random.default_rng(6)
+    const = Tensor(rng.normal(size=(4, 3)))
+    image = Tensor(rng.normal(size=(1, 2, 5, 5)))
+    x = leaf(rng.normal(size=(2, 4)))
+    w = leaf(rng.normal(size=(3, 2, 3, 3)))
+    h = ad.matmul(x, const)
+    y = ad.conv2d(image, w)
+    sq = ad.hadamard_mul(x, x)
+    loss = ad.add(ad.add(ad.reduce_mean(h), ad.reduce_mean(y)), ad.reduce_mean(sq))
+    ad.backward(loss)
+    for t in (const, image, h, y, sq, loss):
+        assert t.grad is None, t.op
+    # sq is x's last consumer, so its terms (a's, then b's) come first.
+    g_sq = np.full(x.shape, 1.0 / x.size)
+    expected_x = g_sq * x.data + g_sq * x.data + np.full(h.shape, 1.0 / h.size) @ const.data.T
+    assert np.array_equal(x.grad, expected_x)
+    # d mean(y) / d w[o, c, i, j] is the mean over outputs of the input under that tap.
+    patch_sums = np.array([[[image.data[0, c, i : i + 3, j : j + 3].sum() for j in range(3)]
+                            for i in range(3)] for c in range(2)])
+    assert np.allclose(w.grad, np.broadcast_to(patch_sums / y.size, w.shape), rtol=0, atol=1e-12)
+
+
+def test_backward_frees_each_gradient_once_passed_on():
+    c = Tensor(np.full((128, 1024), 0.01))
+    x = leaf(np.zeros((128, 1024)))  # 1 MB
+    y = x
+    for _ in range(40):
+        y = ad.tanh(ad.add(y, c))
+    loss = ad.reduce_mean(y)
+    tracemalloc.start()
+    try:
+        ad.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"backward peak {peak / 2**20:.1f} MB"
+    assert x.grad.shape == x.shape and np.all(x.grad > 0.0)
 
 
 def test_backward_rejects_non_scalar():
@@ -221,13 +263,13 @@ def test_grad_check_every_op_below_1e4():
             x = prepare(rng.uniform(-2.0, 2.0, shape))
             # keep clamp inputs away from its kinks by the stated margin
             x = x + np.where(np.abs(np.abs(x) - 1.5) < 1e-3, 5e-3, 0.0)
-            errs.append(ad.grad_check(closure, Tensor(x), eps=1e-4))
+            errs.append(grad_check(closure, Tensor(x), eps=1e-4))
         worst[name] = max(errs)
         assert worst[name] < 1e-4, f"{name}: {worst[name]}"
 
 
 def test_grad_check_linear_closure_is_near_exact():
-    err = ad.grad_check(lambda t: ad.reduce_mean(ad.scalar_mul(t, 2.0)),
+    err = grad_check(lambda t: ad.reduce_mean(ad.scalar_mul(t, 2.0)),
                         Tensor(np.arange(6.0)), eps=1e-4)
     assert err < 1e-10
 
@@ -235,7 +277,7 @@ def test_grad_check_linear_closure_is_near_exact():
 def test_grad_check_clamp_strictly_inside_below_1e6():
     rng = np.random.default_rng(4)
     x = rng.uniform(-0.9, 0.9, (5,))
-    err = ad.grad_check(lambda t: ad.reduce_mean(ad.clamp(t, -1.0, 1.0)), Tensor(x), eps=1e-4)
+    err = grad_check(lambda t: ad.reduce_mean(ad.clamp(t, -1.0, 1.0)), Tensor(x), eps=1e-4)
     assert err < 1e-6
 
 
@@ -246,7 +288,7 @@ def test_no_grad_links_no_parents_and_taping_resumes():
     x = leaf([1.0, -2.0])
     with ad.no_grad():
         y = ad.tanh(ad.hadamard_mul(x, x))
-    assert not y.requires_grad and y._parents == () and y._backward is None
+    assert not y.requires_grad and y._parents == ()
     assert np.array_equal(y.data, np.tanh(x.data * x.data))
     with pytest.raises(RuntimeError, match="inside"):
         with ad.no_grad():

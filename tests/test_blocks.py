@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from softjpeg.codec import CoefficientGrid, assemble_plane, partition_plane
+from softjpeg.codec import CoefficientGrid, partition_plane
+from tests.reference import assemble_plane
 
 
 def test_constant_128_plane_becomes_zero_block():

@@ -1,6 +1,7 @@
 import numpy as np
 
-from softjpeg.codec import DCT_MATRIX, fdct_blocks, idct_blocks
+from softjpeg.codec import DCT_MATRIX, fdct_blocks
+from tests.reference import idct_blocks
 
 
 def naive_fdct(block):

@@ -5,6 +5,7 @@ from softjpeg import autodiff as ad
 from softjpeg import losses
 from softjpeg.autodiff import Tensor
 from softjpeg.pipeline import LearnableTables
+from tests.reference import grad_check
 
 
 def tables_with_multiplier(value, scale=1e-5):
@@ -193,7 +194,7 @@ def test_loss_gradients_pass_finite_difference_check():
                                  cfg)["total"]
 
     x0 = rng.uniform(1.0, 3.0, (1, 4))
-    assert ad.grad_check(through_xhat, Tensor(x0), eps=1e-4) < 1e-4
+    assert grad_check(through_xhat, Tensor(x0), eps=1e-4) < 1e-4
 
 
 # --- structural similarity ------------------------------------------------------

@@ -8,11 +8,16 @@ from softjpeg.autodiff import Tensor
 from softjpeg.codec import (
     entropy_decode,
     forward_grids,
-    idct_blocks,
     tables_for_quality,
 )
 from softjpeg.editor import init_refiner, init_stem
 from softjpeg.losses import psnr
+from tests.reference import (
+    assemble_plane,
+    dequantize_blocks,
+    idct_blocks,
+    ycbcr_to_rgb_float,
+)
 
 
 CFG = tr.TrainConfig(soft_round_alternate=False).pipeline
@@ -159,9 +164,6 @@ def test_zero_decoder_edits_equal_plain_dequantize_idct_path(small_image):
                           small_image.shape[0], small_image.shape[1]).data[0]
 
     # independent plain path: dequantize, inverse DCT, assemble, convert
-    from softjpeg.codec import assemble_plane, dequantize_blocks
-    from softjpeg.codec.color import ycbcr_to_rgb_float
-
     planes = []
     for g in direct:
         blocks = idct_blocks(dequantize_blocks(g.blocks, pair.for_channel(g.channel)))

@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from softjpeg.codec import (
     QuantTablePair,
-    dequantize_blocks,
     quantize_blocks,
     round_half_away,
     tables_for_quality,
 )
 from softjpeg.codec.quant import CHROMA_BASE_TABLE, LUMA_BASE_TABLE
+from tests.reference import dequantize_blocks
 
 
 def test_simple_division():
