@@ -9,10 +9,11 @@ operands that do not are never linked, so no term is computed for them.
 before their result), sums each node's terms, hands the sum to its parents
 once and frees it.  Only leaves that require a gradient keep ``.grad``.
 
-There is no broadcasting except ``scalar_mul``: shape mismatches raise
-``ShapeError`` naming the op and both shapes.  A graph is single-threaded
-during forward/backward; tensors without graph linkage are immutable and
-freely shareable between threads.  Inside ``no_grad()`` ops link no graph.
+There is no broadcasting except ``scalar_mul`` and ``scalar_add``: shape
+mismatches raise ``ShapeError`` naming the op and both shapes.  A graph is
+single-threaded during forward/backward; tensors without graph linkage are
+immutable and freely shareable between threads.  Inside ``no_grad()`` ops
+link no graph.
 """
 
 import contextlib
@@ -157,6 +158,11 @@ def hadamard_mul(a, b):
 def scalar_mul(a, s):
     s = float(s)
     return _result(a.data * s, "scalar_mul", ((a, lambda g: g * s),))
+
+
+def scalar_add(a, s):
+    s = float(s)
+    return _result(a.data + s, "scalar_add", ((a, lambda g: g),))
 
 
 def matmul(a, b):

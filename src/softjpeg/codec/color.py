@@ -23,5 +23,6 @@ def rgb_to_ycbcr(rgb):
     when a caller needs an 8-bit raster.
     """
     rgb = np.asarray(rgb, dtype=np.float64)
-    ycc = rgb @ _FWD.T + _OFFSET
-    return np.clip(ycc, 0.0, 255.0)
+    ycc = rgb @ _FWD.T
+    ycc += _OFFSET
+    return np.clip(ycc, 0.0, 255.0, out=ycc)

@@ -148,8 +148,10 @@ class BitReader:
             self.pos += 2
         else:
             self.pos += 1
-        self._acc = (self._acc << 8) | byte
-        self._nbits += 8
+        # Called only when every earlier bit has been read, so the
+        # accumulator holds one byte and a pull costs O(1), not O(position).
+        self._acc = byte
+        self._nbits = 8
 
     def read_bit(self):
         if self._nbits == 0:
@@ -209,14 +211,16 @@ def encode_scan(blocks, dests):
     """The stuffed entropy-coded segment of an interleaved scan: ``blocks``
     holds each component's (rows, cols, 8, 8) integer array and ``dests`` its
     default-table destination."""
-    # Zigzag-ordered Python int lists: much faster in the symbol loop below.
-    zigzagged = [b.reshape(-1, 64)[:, ZIGZAG].astype(np.int64).tolist() for b in blocks]
     tables = [(_ENCODE_TABLES[0, dest], _ENCODE_TABLES[1, dest]) for dest in dests]
     writer = BitWriter()
     prev_dc = [0] * len(blocks)
-    for mcu in zip(*zigzagged):
-        for ci, zz in enumerate(mcu):
-            prev_dc[ci] = _encode_block(writer.write, zz, prev_dc[ci], *tables[ci])
+    for mcu_row in zip(*blocks):
+        # Zigzag-ordered Python int lists, much faster in the symbol loop
+        # below, built one MCU row at a time so they never cover the frame.
+        zigzagged = [b.reshape(-1, 64)[:, ZIGZAG].astype(np.int64).tolist() for b in mcu_row]
+        for mcu in zip(*zigzagged):
+            for ci, zz in enumerate(mcu):
+                prev_dc[ci] = _encode_block(writer.write, zz, prev_dc[ci], *tables[ci])
     return writer.flush()
 
 
@@ -226,6 +230,8 @@ def _decode_block(reader, prev_dc, dc_map, ac_map):
     if cat > 11:
         raise JpegFormatError(f"invalid DC category {cat}")
     dc = prev_dc + extend_magnitude(reader.read_bits(cat), cat)
+    if not -32768 <= dc <= 32767:
+        raise JpegFormatError(f"DC coefficient {dc} overflows 16 bits")
     zz[0] = dc
     k = 1
     while k < 64:
@@ -249,7 +255,11 @@ def _decode_block(reader, prev_dc, dc_map, ac_map):
 def decode_scan(data, pos, rows, cols, maps):
     """Decode a 3-component scan of rows x cols MCUs at ``data[pos]`` with each
     component's (DC, AC) {(size, code): symbol} maps; returns (each one's
-    (rows * cols, 64) natural-order array, the end position)."""
+    (rows * cols, 64) natural-order array, the end position).
+
+    Coefficients are int16, libjpeg's ``JCOEF``: an AC magnitude has at most
+    15 bits, and a DC predictor that leaves the int16 range raises
+    JpegFormatError."""
     # Every block takes at least a 1-bit DC code and a 1-bit EOB, so each
     # 3-block MCU needs 6 bits of scan: check before allocating the grids.
     scan_bytes = len(data) - pos
@@ -257,7 +267,7 @@ def decode_scan(data, pos, rows, cols, maps):
         raise JpegFormatError(f"a {scan_bytes}-byte scan cannot hold {rows}x{cols} MCUs")
 
     reader = BitReader(data, pos)
-    blocks = [np.zeros((rows * cols, 64), dtype=np.int64) for _ in maps]
+    blocks = [np.zeros((rows * cols, 64), dtype=np.int16) for _ in maps]
     prev_dc = [0] * len(maps)
     for i in range(rows * cols):
         for ci, (dc_map, ac_map) in enumerate(maps):

@@ -65,7 +65,8 @@ def _sos_segment():
 
 def _check_coefficient_range(grids):
     for grid in grids:
-        peak = int(np.abs(grid.blocks).max()) if grid.blocks.size else 0
+        # From min and max, not np.abs: abs(-32768) wraps in an int16 grid.
+        peak = max(-int(grid.blocks.min()), int(grid.blocks.max())) if grid.blocks.size else 0
         if peak > 2047:
             raise CoefficientRangeError(
                 f"{grid.channel} coefficient magnitude {peak} exceeds the signed 12-bit range"
@@ -253,7 +254,7 @@ class _StreamParser:
 def entropy_decode(data):
     """Parse a JFIF stream produced by :func:`entropy_encode`.
 
-    Returns ``(grids, tables, (height, width))`` where grids are integer
+    Returns ``(grids, tables, (height, width))`` where grids are int16
     (Y, Cb, Cr) CoefficientGrids in natural block order.
     """
     parser = _StreamParser(bytes(data))
@@ -289,17 +290,22 @@ def entropy_decode(data):
 def forward_grids(rgb, tables=None):
     """Color-convert, block, and DCT an image; optionally quantize.
 
-    With ``tables`` given, returns integer grids ready for entropy coding;
-    without, returns real-valued DCT coefficient grids.
+    With ``tables`` given, returns int16 grids ready for entropy coding (the
+    quantized DCT of 8-bit samples lies within +-2048); without, returns
+    real-valued DCT coefficient grids.
     """
     rgb = np.asarray(rgb)
     height, width = rgb.shape[:2]
     ycc = rgb_to_ycbcr(rgb)
+    # Contiguous planes, so that the (H, W, 3) image is freed before the
+    # DCT and each plane as soon as its channel is transformed.
+    planes = [np.ascontiguousarray(ycc[:, :, ci]) for ci in range(len(CHANNELS))]
+    del ycc
     grids = []
-    for ci, channel in enumerate(CHANNELS):
-        coeffs = fdct_blocks(partition_plane(ycc[:, :, ci]))
+    for channel in CHANNELS:
+        coeffs = fdct_blocks(partition_plane(planes.pop(0)))
         if tables is not None:
-            coeffs = quantize_blocks(coeffs, tables.for_channel(channel))
+            coeffs = quantize_blocks(coeffs, tables.for_channel(channel)).astype(np.int16)
         grids.append(CoefficientGrid(channel, coeffs, height, width))
     return tuple(grids)
 
@@ -313,16 +319,23 @@ def decode_baseline(data):
     """Decode a JFIF stream back to an (H, W, 3) uint8 raster.
 
     Sample reconstruction uses the fixed-point arithmetic of the deployed
-    decoders, so output is bit-compatible with them on our streams.
+    decoders, so output is bit-compatible with them on our streams.  Samples
+    are reconstructed one MCU row at a time into the output raster, so the
+    working set is the int16 coefficients (twice the raster's bytes) plus
+    one row's temporaries.
     """
     grids, tables, (height, width) = entropy_decode(data)
-    planes = []
-    for grid in grids:
-        samples = integer_idct_samples(grid.blocks, tables.for_channel(grid.channel))
-        rows, cols = samples.shape[:2]
-        plane = samples.transpose(0, 2, 1, 3).reshape(rows * 8, cols * 8)
-        planes.append(plane[:height, :width])
-    return ycbcr_samples_to_rgb(*planes)
+    qtables = [tables.for_channel(grid.channel) for grid in grids]
+    cols = grids[0].blocks.shape[1]
+    raster = np.empty((height, width, 3), dtype=np.uint8)
+    for top in range(0, height, 8):
+        planes = []
+        for grid, table in zip(grids, qtables):
+            samples = integer_idct_samples(grid.blocks[top // 8], table)
+            plane = samples.transpose(1, 0, 2).reshape(8, cols * 8)
+            planes.append(plane[: height - top, :width])
+        raster[top : top + 8] = ycbcr_samples_to_rgb(*planes)
+    return raster
 
 
 def bits_per_pixel(stream, width, height):

@@ -67,12 +67,23 @@ def tables_for_quality(quality):
     return QuantTablePair(luma, chroma)
 
 
+def _round_half_away_in_place(x):
+    """Round the float64 array ``x`` in place, halves away from zero; one
+    temporary (the signs) instead of one per step."""
+    sign = np.sign(x)
+    np.abs(x, out=x)
+    x += 0.5
+    np.floor(x, out=x)
+    x *= sign
+    return x
+
+
 def round_half_away(x):
     """Round to nearest, halves away from zero."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    return _round_half_away_in_place(np.array(x, dtype=np.float64))
 
 
 def quantize_blocks(coeffs, table):
     """Quantize (..., 8, 8) coefficient blocks by an 8x8 divisor table."""
-    return round_half_away(np.asarray(coeffs, dtype=np.float64) / table).astype(np.int64)
+    quotients = np.divide(coeffs, table, dtype=np.float64)
+    return _round_half_away_in_place(quotients).astype(np.int64)

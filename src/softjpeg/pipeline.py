@@ -203,16 +203,15 @@ def decode_rows(quantized, params, config, geometry, out_height, out_width):
         pixels = ad.matmul(dequant, Tensor(IDCT_FLAT))
         c_dec = coefficient_edit_scores(dequant, params.refiner, config.kwta_k,
                                         config.refine_steps)
-        edited = ad.hadamard_mul(pixels, ad.add(ad.ones((n, 64)), c_dec))
+        edited = ad.hadamard_mul(pixels, ad.scalar_add(c_dec, 1.0))
         grid = ad.reshape(edited, (b, rows, cols, 8, 8))
         plane = ad.reshape(ad.transpose(grid, (0, 1, 3, 2, 4)), (b, rows * 8, cols * 8))
         plane = ad.narrow(ad.narrow(plane, 1, 0, out_height), 2, 0, out_width)
-        planes[channel] = ad.add(plane, Tensor(np.full((b, out_height, out_width), 128.0)))
+        planes[channel] = ad.scalar_add(plane, 128.0)
 
     y, cb, cr = planes["Y"], planes["Cb"], planes["Cr"]
-    center = Tensor(np.full(y.shape, 128.0))
-    cb_c = ad.sub(cb, center)
-    cr_c = ad.sub(cr, center)
+    cb_c = ad.scalar_add(cb, -128.0)
+    cr_c = ad.scalar_add(cr, -128.0)
     channels = []
     for name in ("R", "G", "B"):
         wy, wcb, wcr = _COLOR_ROWS[name]

@@ -222,6 +222,8 @@ def _op_closures(rng):
         "sub": ((3, 4), lambda t: ad.reduce_mean(ad.sub(ad.hadamard_mul(t, t), t))),
         "hadamard_mul": ((3, 4), lambda t: ad.reduce_mean(ad.hadamard_mul(t, t))),
         "scalar_mul": ((3, 4), lambda t: ad.reduce_mean(ad.scalar_mul(t, -1.7))),
+        "scalar_add": ((3, 4), lambda t: ad.reduce_mean(
+            ad.hadamard_mul(ad.scalar_add(t, -1.7), t))),
         "matmul_lhs": ((3, 6), lambda t: ad.reduce_mean(ad.matmul(t, w))),
         "matmul_rhs": ((4, 3), lambda t: ad.reduce_mean(ad.matmul(w, t))),
         "reciprocal": ((3, 4), lambda t: ad.reduce_mean(

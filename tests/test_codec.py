@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,34 @@ def test_768x512_encode_has_positive_finite_bpp(natural_image):
     bpp = bits_per_pixel(stream, 768, 512)
     assert np.isfinite(bpp) and 0.0 < bpp
     assert 0.2 <= bpp <= 2.0
+
+
+def traced_peak(call):
+    """tracemalloc peak, in bytes, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_decode_working_set_is_bounded_by_the_raster():
+    # A flat 1024x1024 q50 stream is ~29 KB, 6 bits per MCU, yet decoding it
+    # once peaked at 152 MB: int64 coefficients and whole-plane IDCT
+    # temporaries.  int16 coefficients are twice the raster's bytes.
+    stream = encode_baseline(np.full((1024, 1024, 3), 90, dtype=np.uint8), tables_for_quality(50))
+    raster_bytes = 1024 * 1024 * 3
+    assert traced_peak(lambda: decode_baseline(stream)) <= 4 * raster_bytes
+
+
+def test_kodak_size_encode_peak_memory(natural_image):
+    # 30 MB before the color transform worked in place and the quantized
+    # grids became int16; the float64 image and its YCbCr copy are 18 MB.
+    img = natural_image(512, 768, seed=5)
+    for quality in (50, 90):
+        tables = tables_for_quality(quality)
+        assert traced_peak(lambda: encode_baseline(img, tables)) <= 22 * 2**20
 
 
 def test_ppm_roundtrip(natural_image):

@@ -15,7 +15,7 @@ from softjpeg.codec import (
     entropy_encode,
     tables_for_quality,
 )
-from softjpeg.codec.huffman import ZIGZAG, BitReader, BitWriter
+from softjpeg.codec.huffman import DEFAULT_SPECS, ZIGZAG, BitReader, BitWriter, code_assignment
 
 
 def make_grids(rng, rows, cols, height, width, dc_span=400, ac_span=200):
@@ -46,6 +46,56 @@ def test_bitreader_unstuffs_and_detects_truncation():
     assert r.read_bits(16) == 0xFFAB
     with pytest.raises(JpegFormatError, match="truncated"):
         r.read_bits(8)
+
+
+def test_bitreader_holds_one_byte_after_every_pull(natural_image, monkeypatch):
+    # A pull happens only once every earlier bit is read, so the accumulator
+    # never needs more than the new byte; keeping the old bits made each
+    # pull cost O(position) and decode quadratic in scan length.
+    stream = encode_baseline(natural_image(120, 184, seed=7), tables_for_quality(90))
+    pull, accumulators = BitReader._pull_byte, []
+
+    def checked_pull(reader):
+        pull(reader)
+        accumulators.append(reader._acc)
+
+    monkeypatch.setattr(BitReader, "_pull_byte", checked_pull)
+    entropy_decode(stream)
+    assert len(accumulators) > 4000
+    assert max(accumulators) < 256
+
+
+def dc_climb_stream(mcus):
+    """An 8 x 8*mcus stream whose every Y block codes the largest DC
+    difference, +2047, so the Y predictor reaches 2047 * mcus; Cb and Cr
+    stay 0.  No encoder writes it: from the second MCU on, the DC exceeds
+    12 bits."""
+    zeros = np.zeros((1, mcus, 8, 8), dtype=np.int64)
+    grids = tuple(CoefficientGrid(ch, zeros, 8, 8 * mcus) for ch in ("Y", "Cb", "Cr"))
+    stream = entropy_encode(grids, tables_for_quality(50))
+    sos = stream.index(b"\xff\xda")
+    head = stream[: sos + 2 + int.from_bytes(stream[sos + 2 : sos + 4], "big")]
+    codes = {key: {symbol: (code, size) for symbol, code, size in code_assignment(*spec)}
+             for key, spec in DEFAULT_SPECS.items()}
+    writer = BitWriter()
+    for _ in range(mcus):
+        for dest, cat in ((0, 11), (1, 0), (1, 0)):
+            writer.write(*codes[0, dest][cat])
+            writer.write((1 << cat) - 1, cat)  # magnitude bits: +2047, or none
+            writer.write(*codes[1, dest][0x00])  # EOB
+    return head + writer.flush() + b"\xff\xd9"
+
+
+def test_dc_predictor_at_the_int16_limit_decodes():
+    grids, _, _ = entropy_decode(dc_climb_stream(16))
+    assert grids[0].blocks.dtype == np.int16
+    assert grids[0].blocks[0, :, 0, 0].tolist() == [2047 * (i + 1) for i in range(16)]
+    assert not grids[1].blocks.any() and not grids[2].blocks.any()
+
+
+def test_dc_predictor_past_int16_rejected():
+    with pytest.raises(JpegFormatError, match="DC coefficient 34799 overflows 16 bits"):
+        entropy_decode(dc_climb_stream(17))
 
 
 def test_all_zero_single_block_image_is_a_valid_stream():
