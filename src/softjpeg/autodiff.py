@@ -1,13 +1,18 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
 The operator set is exactly what the differentiable coding pipeline needs.
-Tensors wrap numpy arrays.  An op links its result to each operand that
-requires a gradient, with a vector-Jacobian product (VJP) for that operand;
-operands that do not are never linked, so no term is computed for them.
+Tensors wrap numpy arrays.  The graph links nodes, not data: an op result
+that requires a gradient carries a small node holding its ``node_id`` and
+one ``(parent, vjp)`` pair per operand that requires a gradient, where the
+parent is the operand's node or, for a leaf, the leaf tensor itself.
+Operands that do not require a gradient are never linked, so no term is
+computed for them.  Each VJP captures only the arrays it reads, so a
+forward value lives only while a VJP reads it or a caller holds its tensor.
 ``backward`` owns gradient flow: it sweeps nodes in reverse creation order
 (creation order is a topological order because operands always exist
 before their result), sums each node's terms, hands the sum to its parents
 once and frees it.  Only leaves that require a gradient keep ``.grad``.
+A graph can be swept more than once.
 
 There is no broadcasting except ``scalar_mul`` and ``scalar_add``: shape
 mismatches raise ``ShapeError`` naming the op and both shapes.  A graph is
@@ -34,24 +39,36 @@ class ShapeError(ValueError):
         super().__init__(f"{op}: incompatible shapes {' vs '.join(str(s) for s in shapes)}")
 
 
+class _Node:
+    """An op result's place in the graph: its tensor's ``node_id`` and one
+    ``(parent, vjp)`` pair per linked operand.  A parent is another
+    ``_Node`` or a leaf ``Tensor``, so the node keeps no result data alive."""
+
+    __slots__ = ("node_id", "parents")
+
+    def __init__(self, node_id, parents):
+        self.node_id = node_id
+        self.parents = parents
+
+
 class Tensor:
     """A dense float64 array with graph linkage and a gradient slot.
 
-    ``_parents`` holds one ``(parent, vjp)`` pair per operand that requires
-    a gradient.  ``backward`` writes ``grad`` only on leaves (tensors with
-    no parents) that require a gradient; interior nodes and constants keep
+    ``_node`` is the graph node of an op result that requires a gradient,
+    and ``None`` on leaves and constants.  ``backward`` writes ``grad`` only
+    on leaves that require a gradient; interior results and constants keep
     ``grad is None``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "node_id", "op", "_parents")
+    __slots__ = ("data", "grad", "requires_grad", "node_id", "op", "_node")
 
-    def __init__(self, data, requires_grad=False, op="leaf", parents=()):
+    def __init__(self, data, requires_grad=False, op="leaf"):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self.node_id = next(_COUNTER)
         self.op = op
-        self._parents = tuple(parents)
+        self._node = None
 
     @property
     def shape(self):
@@ -93,12 +110,15 @@ def _result(data, op, pairs):
     """Wrap an op's output; ``pairs`` holds one ``(operand, vjp)`` per operand.
 
     Only operands that require a gradient are linked, so a constant's VJP
-    is never called.
+    is never called.  An interior operand is linked by its node and a leaf
+    by its tensor, so the result's node holds no operand's data.
     """
     if _TAPING.get():
-        pairs = tuple((p, vjp) for p, vjp in pairs if p.requires_grad)
-        if pairs:
-            return Tensor(data, requires_grad=True, op=op, parents=pairs)
+        links = tuple((p._node or p, vjp) for p, vjp in pairs if p.requires_grad)
+        if links:
+            result = Tensor(data, requires_grad=True, op=op)
+            result._node = _Node(result.node_id, links)
+            return result
     return Tensor(data, op=op)
 
 
@@ -108,27 +128,31 @@ def backward(loss):
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     # Reverse creation order over the reachable subgraph is a valid
     # reverse-topological order, so every node is visited exactly once and
-    # after all of its consumers have added their terms.
+    # after all of its consumers have added their terms.  Leaves are the
+    # Tensors among them; every other entry is a _Node.
+    root = loss._node or loss
     reachable = {}
-    stack = [loss]
+    stack = [root]
     while stack:
-        t = stack.pop()
-        if t.node_id in reachable:
+        n = stack.pop()
+        if n.node_id in reachable:
             continue
-        reachable[t.node_id] = t
-        stack.extend(p for p, _ in t._parents)
+        reachable[n.node_id] = n
+        if isinstance(n, _Node):
+            stack.extend(p for p, _ in n.parents)
     # A leaf's earlier gradient is the first term of its sum, as if the
     # terms were added to it one by one.
-    grads = {i: t.grad for i, t in reachable.items() if not t._parents and t.grad is not None}
-    grads[loss.node_id] = np.ones_like(loss.data)
-    for t in sorted(reachable.values(), key=lambda t: t.node_id, reverse=True):
-        g = grads.pop(t.node_id)
-        if not t._parents:
-            if t.requires_grad:
+    grads = {i: n.grad for i, n in reachable.items()
+             if isinstance(n, Tensor) and n.grad is not None}
+    grads[root.node_id] = np.ones_like(loss.data)
+    for n in sorted(reachable.values(), key=lambda n: n.node_id, reverse=True):
+        g = grads.pop(n.node_id)
+        if isinstance(n, Tensor):
+            if n.requires_grad:
                 # A copy: a VJP may hand the same array to several operands.
-                t.grad = np.array(g, dtype=np.float64)
+                n.grad = np.array(g, dtype=np.float64)
             continue
-        for parent, vjp in t._parents:
+        for parent, vjp in n.parents:
             term = vjp(g)
             prev = grads.get(parent.node_id)
             grads[parent.node_id] = term if prev is None else prev + term
@@ -151,8 +175,8 @@ def sub(a, b):
 
 def hadamard_mul(a, b):
     _same_shape("hadamard_mul", a, b)
-    return _result(a.data * b.data, "hadamard_mul",
-                   ((a, lambda g: g * b.data), (b, lambda g: g * a.data)))
+    x, y = a.data, b.data
+    return _result(x * y, "hadamard_mul", ((a, lambda g: g * y), (b, lambda g: g * x)))
 
 
 def scalar_mul(a, s):
@@ -168,8 +192,8 @@ def scalar_add(a, s):
 def matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError("matmul", a.shape, b.shape)
-    return _result(a.data @ b.data, "matmul",
-                   ((a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g)))
+    x, y = a.data, b.data
+    return _result(x @ y, "matmul", ((a, lambda g: g @ y.T), (b, lambda g: x.T @ g)))
 
 
 def reciprocal(a):
@@ -188,14 +212,14 @@ def tanh(a):
 
 
 def reduce_mean(a):
-    n = a.size
+    shape, n = a.shape, a.size
     return _result(np.mean(a.data), "reduce_mean",
-                   ((a, lambda g: np.full(a.shape, float(g) / n)),))
+                   ((a, lambda g: np.full(shape, float(g) / n)),))
 
 
 def reduce_l1(a):
-    return _result(np.sum(np.abs(a.data)), "reduce_l1",
-                   ((a, lambda g: float(g) * np.sign(a.data)),))
+    x = a.data
+    return _result(np.sum(np.abs(x)), "reduce_l1", ((a, lambda g: float(g) * np.sign(x)),))
 
 
 def clamp(a, lo, hi):
@@ -243,12 +267,13 @@ def narrow(a, axis, start, length):
     """Slice ``length`` entries from ``start`` along ``axis``."""
     if start < 0 or start + length > a.shape[axis]:
         raise ShapeError("narrow", a.shape, (axis, start, length))
-    idx = [slice(None)] * a.data.ndim
+    shape = a.shape
+    idx = [slice(None)] * len(shape)
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
 
     def vjp(g):
-        full = np.zeros(a.shape)
+        full = np.zeros(shape)
         full[idx] = g
         return full
 
@@ -290,12 +315,14 @@ def kwta(a, k):
     elif k == 0:
         mask = np.zeros_like(a.data)
     else:
-        flat = a.data.reshape(-1, n)
-        # Stable sort on -|v|: equal magnitudes keep ascending index order.
-        order = np.argsort(-np.abs(flat), axis=1, kind="stable")
-        mask = np.zeros_like(flat)
-        np.put_along_axis(mask, order[:, :k], 1.0, axis=1)
-        mask = mask.reshape(a.shape)
+        mag = np.abs(a.data.reshape(-1, n))
+        # Every magnitude above the row's k-th largest survives; entries equal
+        # to it fill the remaining places from the lowest index on.
+        kth = np.partition(mag, n - k, axis=1)[:, n - k : n - k + 1]
+        above, ties = mag > kth, mag == kth
+        room = k - np.count_nonzero(above, axis=1, keepdims=True)
+        keep = above | (ties & (np.cumsum(ties, axis=1) <= room))
+        mask = keep.astype(np.float64).reshape(a.shape)
 
     return _result(a.data * mask, "kwta", ((a, lambda g: g * mask),))
 
@@ -315,6 +342,9 @@ def conv2d(x, w, bias=None, stride=1, padding=0):
         raise ShapeError("conv2d", x.shape, w.shape)
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
+    # The VJPs read the im2col columns and the kernels, but only the shapes
+    # of the padded input and of w.
+    xp_shape, w_shape = xp.shape, w.shape
     cols = np.empty((B, C, kh, kw, Ho, Wo))
     for i in range(kh):
         for j in range(kw):
@@ -327,7 +357,7 @@ def conv2d(x, w, bias=None, stride=1, padding=0):
 
     def vjp_x(g):
         dcols = np.matmul(wf.T, g.reshape(B, O, Ho * Wo)).reshape(B, C, kh, kw, Ho, Wo)
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros(xp_shape)
         for i in range(kh):
             for j in range(kw):
                 dxp[:, :, i : i + s * Ho : s, j : j + s * Wo : s] += dcols[:, :, i, j]
@@ -335,7 +365,7 @@ def conv2d(x, w, bias=None, stride=1, padding=0):
 
     def vjp_w(g):
         gf = g.reshape(B, O, Ho * Wo)
-        return np.matmul(gf, cols2.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        return np.matmul(gf, cols2.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
 
     pairs = [(x, vjp_x), (w, vjp_w)]
     if bias is not None:

@@ -22,6 +22,13 @@ _F2_053119869 = 16819
 _F2_562915447 = 20995
 _F3_072711026 = 25172
 
+# libjpeg-turbo's post-IDCT range limit (jdmaster.c ``prepare_range_limit_table``,
+# offset by CENTERJSAMPLE), indexed by the unshifted sample masked to 10 bits.
+# It equals a clamp of sample + 128 to [0, 255] for samples in [-512, 511];
+# farther out the sample wraps modulo 1024 first.
+_RANGE_LIMIT = np.concatenate([np.arange(128, 256), np.full(384, 255), np.zeros(384, np.int64),
+                               np.arange(0, 128)])
+
 
 def _idct_1d(col, rounding, out_shift):
     """Shared even/odd butterfly for one pass over the 8 lanes on axis 0.
@@ -67,7 +74,9 @@ def integer_idct_samples(blocks, table):
     """Dequantize and inverse-transform integer blocks to [0, 255] samples.
 
     ``blocks`` is (..., 8, 8) int; ``table`` an (8, 8) integer quantization
-    table.  Returns samples of the same shape, level shift undone.
+    table.  Returns samples of the same shape, level shift undone and range
+    limited as libjpeg-turbo does, so coefficients that no 8-bit image
+    produces decode as they do there.
     """
     c = blocks.reshape(-1, 8, 8).astype(np.int64)
     c *= np.asarray(table, dtype=np.int64).reshape(8, 8)  # in place: no second plane copy
@@ -75,7 +84,7 @@ def integer_idct_samples(blocks, table):
     # (lanes = columns j); the lane axis leads in each: (r, N, j), then (j, N, r).
     ws = _idct_1d(c.transpose(1, 0, 2), 1024, 11)
     samples = _idct_1d(ws.transpose(2, 1, 0), 16 << 13, 18).transpose(1, 2, 0)
-    return np.clip(samples + 128, 0, 255).reshape(blocks.shape)
+    return _RANGE_LIMIT[samples & 1023].reshape(blocks.shape)
 
 
 def ycbcr_samples_to_rgb(y, cb, cr):

@@ -4,6 +4,7 @@ The codec's float inverse path (dequantize, inverse DCT, stitch, YCbCr to
 RGB) is the textbook counterpart of the encoder; the library decodes with
 the integer path of ``codec.intdecode`` instead, so only tests use these.
 ``grad_check`` compares ``autodiff`` gradients with central differences.
+``kwta_stable_argsort`` is the sort-based form of ``autodiff.kwta``.
 """
 
 import numpy as np
@@ -69,3 +70,14 @@ def grad_check(fn, x, eps=1e-4):
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def kwta_stable_argsort(values, k):
+    """Top-k by magnitude along the last axis through a full stable sort on
+    -|v|, so equal magnitudes keep ascending index order; 0 < k < n."""
+    n = values.shape[-1]
+    flat = values.reshape(-1, n)
+    order = np.argsort(-np.abs(flat), axis=1, kind="stable")
+    mask = np.zeros_like(flat)
+    np.put_along_axis(mask, order[:, :k], 1.0, axis=1)
+    return values * mask.reshape(values.shape)

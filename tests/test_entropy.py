@@ -10,6 +10,7 @@ from softjpeg.codec import (
     CoefficientGrid,
     CoefficientRangeError,
     JpegFormatError,
+    decode_baseline,
     encode_baseline,
     entropy_decode,
     entropy_encode,
@@ -91,6 +92,15 @@ def test_dc_predictor_at_the_int16_limit_decodes():
     assert grids[0].blocks.dtype == np.int16
     assert grids[0].blocks[0, :, 0, 0].tolist() == [2047 * (i + 1) for i in range(16)]
     assert not grids[1].blocks.any() and not grids[2].blocks.any()
+
+
+def test_samples_beyond_eight_bit_range_wrap_as_in_libjpeg(stock_decode):
+    # Unshifted Y samples of 2047 * 16 * (i + 1) wrap modulo 1024 through
+    # libjpeg-turbo's range-limit table; a plain clamp would read 255 throughout.
+    stream = dc_climb_stream(16)
+    raster = decode_baseline(stream)
+    assert raster[0, ::8, 0].tolist() == list(range(126, 94, -2))
+    assert np.array_equal(raster, stock_decode(stream))
 
 
 def test_dc_predictor_past_int16_rejected():

@@ -1,5 +1,8 @@
 
+import importlib
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +149,23 @@ def test_fixed_seed_reproduces_trajectory_bit_exactly():
     _, hist_a = tr.train_on_patches(patches, cfg)
     _, hist_b = tr.train_on_patches(patches, cfg)
     assert [h["loss"] for h in hist_a] == [h["loss"] for h in hist_b]
+
+
+def test_benchmark_train_records_match_their_pins(monkeypatch):
+    """The first steps of a perfbench train pool entry, run by the real loop,
+    give the record digests pinned in perfbench/pins.json, so a change that
+    moves the trajectory fails here and not only in the benchmark.  A change
+    of one op's output layout first moved a record at step 4 to 8."""
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    inputs = importlib.import_module("inputs")
+    workloads = importlib.import_module("workloads")
+    pins = json.loads((bench / "pins.json").read_text())["train"]
+    entry, steps = 0, 10
+    patches = inputs.train_patches(entry, workloads.TRAIN_CONFIG)
+    _, history = tr.train_on_patches(patches, workloads.TRAIN_CONFIG, stop_step=steps)
+    assert [workloads.record_digest(r) for r in history] == [
+        pins[f"{entry}:{step}"] for step in range(steps)]
 
 
 def test_tables_stay_clamped_every_step():
