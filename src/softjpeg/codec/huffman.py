@@ -1,6 +1,7 @@
 """The entropy-coded segment: default Huffman tables, canonical code
 assignment (ITU-T T.81 Annex C), bit I/O with byte stuffing and the
-baseline scan syntax (Annex F.1.2 / F.2.2)."""
+baseline scan syntax (Annex F.1.2 / F.2.2).  Huffman codes and magnitude
+bits are '0'/'1' strings, packed into bytes one MCU row at a time."""
 
 import numpy as np
 
@@ -74,8 +75,10 @@ DEFAULT_SPECS = {
 
 
 def code_assignment(lengths, values):
-    """Yield ``(symbol, code, size)`` for a (lengths, values) table spec: the
-    canonical codes of ITU-T T.81 Annex C, shortest first."""
+    """Yield ``(symbol, code)`` for a (lengths, values) table spec: each
+    canonical code of ITU-T T.81 Annex C as a '0'/'1' string, shortest first.
+    A length with more codes than fit, or whose last code is all 1-bits,
+    raises JpegFormatError, as in libjpeg ("Bogus Huffman table definition")."""
     if len(lengths) != 16:
         raise ValueError("Huffman spec needs 16 length counts")
     if sum(lengths) != len(values):
@@ -83,17 +86,16 @@ def code_assignment(lengths, values):
     symbols = iter(values)
     code = 0
     for size, count in enumerate(lengths, start=1):
+        if code + count >= 1 << size:
+            raise JpegFormatError(f"Huffman table holds too many codes of length {size}")
         for _ in range(count):
-            yield next(symbols), code, size
+            yield next(symbols), format(code, f"0{size}b")
             code += 1
         code <<= 1
 
 
-# The encoder's {symbol: (code, size)} tables; it writes no others.
-_ENCODE_TABLES = {
-    key: {symbol: (code, size) for symbol, code, size in code_assignment(*spec)}
-    for key, spec in DEFAULT_SPECS.items()
-}
+# The encoder's {symbol: code} tables; it writes no others.
+_ENCODE_TABLES = {key: dict(code_assignment(*spec)) for key, spec in DEFAULT_SPECS.items()}
 
 
 def extend_magnitude(bits, category):
@@ -101,27 +103,11 @@ def extend_magnitude(bits, category):
     return bits if bits >= (1 << category) >> 1 else bits - (1 << category) + 1
 
 
-class BitWriter:
-    """MSB-first bit writer; ``flush`` applies the 0xFF00 byte stuffing."""
-
-    def __init__(self):
-        self._acc = 0
-        self._nbits = 0
-        self.data = bytearray()
-
-    def write(self, value, nbits):
-        self._acc = (self._acc << nbits) | (value & ((1 << nbits) - 1))
-        self._nbits += nbits
-        while self._nbits >= 8:
-            self._nbits -= 8
-            self.data.append((self._acc >> self._nbits) & 0xFF)
-        self._acc &= (1 << self._nbits) - 1
-
-    def flush(self):
-        if self._nbits:
-            pad = 8 - self._nbits
-            self.write((1 << pad) - 1, pad)
-        return bytes(self.data).replace(b"\xff", b"\xff\x00")
+# Every value a baseline scan codes, -2047..2047, to its (category, magnitude
+# bits) (T.81 F.1.2.1), the inverse of EXTEND: a negative value's bits are the
+# one's complement of its absolute value's.
+_MAGNITUDES = {0: (0, ""), **{extend_magnitude(bits, cat): (cat, format(bits, f"0{cat}b"))
+                              for cat in range(1, 12) for bits in range(1 << cat)}}
 
 
 class BitReader:
@@ -166,62 +152,67 @@ class BitReader:
         return value
 
     def decode_symbol(self, decode_map):
-        code = 0
-        for size in range(1, 17):
-            code = (code << 1) | self.read_bit()
-            symbol = decode_map.get((size, code))
+        """The symbol of a {code: symbol} map whose code the next bits spell."""
+        code = ""
+        for _ in range(16):
+            code += "1" if self.read_bit() else "0"
+            symbol = decode_map.get(code)
             if symbol is not None:
                 return symbol
         raise JpegFormatError("invalid Huffman code in entropy-coded data")
 
 
-def _encode_block(write, zz, prev_dc, dc_table, ac_table):
-    """Write one zigzag-ordered block (T.81 F.1.2): each symbol goes out with
-    its magnitude bits, negative values in one's complement."""
+def _encode_block(bits, zz, prev_dc, dc_codes, ac_codes):
+    """Append one zigzag-ordered block's code and magnitude strings to
+    ``bits`` (T.81 F.1.2)."""
     diff = zz[0] - prev_dc
-    cat = abs(diff).bit_length()
-    if cat > 11:
+    if diff not in _MAGNITUDES:
         raise CoefficientRangeError(f"DC difference {diff} is not Huffman-encodable")
-    code, size = dc_table[cat]
-    write(code << cat | (diff - (diff < 0)) & ((1 << cat) - 1), size + cat)
+    cat, magnitude = _MAGNITUDES[diff]
+    bits += dc_codes[cat], magnitude
 
     run = 0
-    for k in range(1, 64):
-        v = zz[k]
+    for v in zz[1:]:
         if v == 0:
             run += 1
             continue
         while run >= 16:
-            code, size = ac_table[0xF0]
-            write(code, size)
+            bits.append(ac_codes[0xF0])
             run -= 16
-        cat = abs(v).bit_length()
+        cat, magnitude = _MAGNITUDES[v]
         if cat > 10:
             raise CoefficientRangeError(f"AC coefficient {v} is not Huffman-encodable")
-        code, size = ac_table[run << 4 | cat]
-        write(code << cat | (v - (v < 0)) & ((1 << cat) - 1), size + cat)
+        bits += ac_codes[run << 4 | cat], magnitude
         run = 0
     if run:
-        code, size = ac_table[0x00]
-        write(code, size)
+        bits.append(ac_codes[0x00])
     return zz[0]
 
 
 def encode_scan(blocks, dests):
     """The stuffed entropy-coded segment of an interleaved scan: ``blocks``
-    holds each component's (rows, cols, 8, 8) integer array and ``dests`` its
-    default-table destination."""
+    holds each component's (rows, cols, 8, 8) integer array, with every
+    coefficient within +-2047, and ``dests`` its default-table destination."""
     tables = [(_ENCODE_TABLES[0, dest], _ENCODE_TABLES[1, dest]) for dest in dests]
-    writer = BitWriter()
+    scan = bytearray()
+    bits = ""  # what the last MCU row left short of a whole byte
     prev_dc = [0] * len(blocks)
     for mcu_row in zip(*blocks):
         # Zigzag-ordered Python int lists, much faster in the symbol loop
         # below, built one MCU row at a time so they never cover the frame.
         zigzagged = [b.reshape(-1, 64)[:, ZIGZAG].astype(np.int64).tolist() for b in mcu_row]
+        parts = [bits]
         for mcu in zip(*zigzagged):
             for ci, zz in enumerate(mcu):
-                prev_dc[ci] = _encode_block(writer.write, zz, prev_dc[ci], *tables[ci])
-    return writer.flush()
+                prev_dc[ci] = _encode_block(parts, zz, prev_dc[ci], *tables[ci])
+        # Packed row by row, so no bit string spans the scan.
+        bits = "".join(parts)
+        whole = len(bits) - len(bits) % 8
+        scan += int(bits[:whole] or "0", 2).to_bytes(whole // 8, "big")
+        bits = bits[whole:]
+    if bits:  # pad the last byte with 1-bits
+        scan.append(int(bits.ljust(8, "1"), 2))
+    return bytes(scan.replace(b"\xff", b"\xff\x00"))
 
 
 def _decode_block(reader, prev_dc, dc_map, ac_map):
@@ -254,7 +245,7 @@ def _decode_block(reader, prev_dc, dc_map, ac_map):
 
 def decode_scan(data, pos, rows, cols, maps):
     """Decode a 3-component scan of rows x cols MCUs at ``data[pos]`` with each
-    component's (DC, AC) {(size, code): symbol} maps; returns (each one's
+    component's (DC, AC) {code: symbol} maps; returns (each one's
     (rows * cols, 64) natural-order array, the end position).
 
     Coefficients are int16, libjpeg's ``JCOEF``: an AC magnitude has at most

@@ -229,7 +229,7 @@ class _StreamParser:
                 raise JpegFormatError("DHT segment length mismatch")
             values = payload[pos : pos + count]
             pos += count
-            self.hmaps[cls, dest] = {(size, code): symbol for symbol, code, size
+            self.hmaps[cls, dest] = {code: symbol for symbol, code
                                      in code_assignment(lengths, values)}
         if pos != len(payload):
             raise JpegFormatError("DHT segment length mismatch")
@@ -287,13 +287,10 @@ def entropy_decode(data):
     return grids, QuantTablePair(luma, cb), (height, width)
 
 
-def forward_grids(rgb, tables=None):
-    """Color-convert, block, and DCT an image; optionally quantize.
-
-    With ``tables`` given, returns int16 grids ready for entropy coding (the
-    quantized DCT of 8-bit samples lies within +-2048); without, returns
-    real-valued DCT coefficient grids.
-    """
+def forward_grids(rgb, tables):
+    """Color-convert, block, DCT and quantize an image with a QuantTablePair:
+    int16 grids ready for entropy coding (the quantized DCT of 8-bit samples
+    lies within +-2048)."""
     rgb = np.asarray(rgb)
     height, width = rgb.shape[:2]
     ycc = rgb_to_ycbcr(rgb)
@@ -304,8 +301,7 @@ def forward_grids(rgb, tables=None):
     grids = []
     for channel in CHANNELS:
         coeffs = fdct_blocks(partition_plane(planes.pop(0)))
-        if tables is not None:
-            coeffs = quantize_blocks(coeffs, tables.for_channel(channel)).astype(np.int16)
+        coeffs = quantize_blocks(coeffs, tables.for_channel(channel)).astype(np.int16)
         grids.append(CoefficientGrid(channel, coeffs, height, width))
     return tuple(grids)
 

@@ -85,10 +85,10 @@ class PipelineParams:
 
 @dataclass
 class PipelineOutput:
-    """Reconstruction plus the quantized coefficients that produced it."""
+    """Reconstruction, the edit scores that shaped it and, when measured,
+    each image's bpp."""
 
     reconstruction: Tensor  # (B, H, W, 3), float in [0, 255]
-    quantized: dict  # channel -> (num_blocks, 64) tensor
     scores: tuple  # (c_L, c_C)
     bpp: list | None = None
 
@@ -263,7 +263,7 @@ def forward(images, params, config, rounding="soft", measure_rate=False):
     if measure_rate:
         exported = export_tables(params.tables)
         bpp = [measure_bpp(g, exported) for g in hard_grids(quantized, geometry, height, width)]
-    return PipelineOutput(reconstruction, quantized, scores, bpp)
+    return PipelineOutput(reconstruction, scores, bpp)
 
 
 def encode_stream(image, params, config):

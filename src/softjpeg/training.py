@@ -6,6 +6,7 @@ import json
 import math
 import os
 import struct
+import sys
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 
@@ -85,8 +86,8 @@ _JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,)}
 
 
 def _config_from_dict(cls, data):
-    """Build a dataclass from a JSON object, naming any unknown key or any
-    scalar of the wrong type."""
+    """Build a dataclass from a JSON object, naming any unknown key, any
+    scalar of the wrong type and any NaN or infinite float."""
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {type(data).__name__}")
     types = {f.name: f.type for f in fields(cls)}
@@ -99,6 +100,9 @@ def _config_from_dict(cls, data):
                          or (isinstance(value, bool) and types[key] is not bool)):
             raise ValueError(f"{cls.__name__} key {key!r} must be a {types[key].__name__}, "
                              f"got {value!r}")
+        # NaN fails every comparison; a huge int would overflow as a float.
+        if types[key] is float and not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{cls.__name__} key {key!r} must be finite, got {value!r}")
     return cls(**data)
 
 
@@ -254,14 +258,13 @@ TRAIN_LOG_HEADER = "step,loss,d,r,al,lr"
 _TRAIN_LOG_ROW = "{step},{loss:.6f},{d:.6f},{r:.6f},{al:.6f},{lr:.3e}"
 
 
-def train_on_patches(patches, config, log=None, resume=None, stop_step=None, on_step=None):
+def train_on_patches(patches, config, log=None, resume=None, stop_step=None):
     """Run the training loop over a fixed patch pool.
 
     ``resume`` continues from a TrainingCheckpoint; ``stop_step`` interrupts
     the schedule early (the LR schedule still spans config.steps).  Batches
     are drawn with a per-step seeded RNG, so an interrupted and resumed run
-    reproduces the uninterrupted trajectory exactly.  ``on_step(params,
-    record)`` runs after every update, for debug-mode invariant checks.
+    reproduces the uninterrupted trajectory exactly.
     """
     if resume is not None:
         params, adam, start = resume.params, resume.adam, resume.adam.step
@@ -279,8 +282,6 @@ def train_on_patches(patches, config, log=None, resume=None, stop_step=None, on_
         history.append(record)
         if log is not None:
             log(_TRAIN_LOG_ROW.format(**record))
-        if on_step is not None:
-            on_step(params, record)
     return TrainingCheckpoint(params, adam, config), history
 
 

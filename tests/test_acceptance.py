@@ -51,17 +51,21 @@ def held_out_patch():
 
 @pytest.fixture(scope="module")
 def smoke_run(smoke_patches):
+    # One step per call, resuming from the last checkpoint, so the clamp is
+    # checked after every update; the smoke test's uninterrupted replay then
+    # also checks the 200 resumes.
     config = smoke_config()
     s = config.table_scale
-    bounds_ok = []
-
-    def check_clamp(params, record):
-        lo = min(params.tables.luma.data.min(), params.tables.chroma.data.min())
-        hi = max(params.tables.luma.data.max(), params.tables.chroma.data.max())
-        bounds_ok.append(s <= lo and hi <= 255 * s)
-
+    checkpoint, history, bounds_ok = None, [], []
     start = time.perf_counter()
-    checkpoint, history = tr.train_on_patches(smoke_patches, config, on_step=check_clamp)
+    for step in range(1, config.steps + 1):
+        checkpoint, records = tr.train_on_patches(smoke_patches, config, resume=checkpoint,
+                                                  stop_step=step)
+        history += records
+        tables = checkpoint.params.tables
+        lo = min(tables.luma.data.min(), tables.chroma.data.min())
+        hi = max(tables.luma.data.max(), tables.chroma.data.max())
+        bounds_ok.append(s <= lo and hi <= 255 * s)
     elapsed = time.perf_counter() - start
     return checkpoint, history, elapsed, bounds_ok
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -188,8 +189,9 @@ def test_config_with_unknown_key_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "config, key",
-    [({"steps": "ten"}, "steps"), ({"steps": True}, "steps"), ({"loss": {"lam": "high"}}, "lam")],
-    ids=["top-level-str", "top-level-bool", "nested-loss"],
+    [({"steps": "ten"}, "steps"), ({"steps": True}, "steps"), ({"loss": {"lam": "high"}}, "lam"),
+     ({"loss": {"gamma": math.nan}}, "gamma")],
+    ids=["top-level-str", "top-level-bool", "nested-loss", "nested-loss-nan"],
 )
 def test_config_with_wrong_value_type_exits_1(tmp_path, capsys, config, key):
     data = tmp_path / "data"
@@ -205,7 +207,7 @@ def test_config_with_wrong_value_type_exits_1(tmp_path, capsys, config, key):
     "key, value",
     [("hidden_size", 0), ("num_patches", 0), ("patch_size", -8), ("patch_size", 0),
      ("kwta_k", -1), ("refine_steps", -1), ("table_scale", 0.0), ("decay_power", 0.0),
-     ("table_lr_scale", -1.0), ("seed", -1)],
+     ("table_lr_scale", -1.0), ("seed", -1), ("table_scale", math.inf)],
 )
 def test_config_out_of_range_exits_1_without_a_checkpoint(trained, tmp_path, capsys, key, value):
     tmp, _ = trained

@@ -16,7 +16,27 @@ from softjpeg.codec import (
     entropy_encode,
     tables_for_quality,
 )
-from softjpeg.codec.huffman import DEFAULT_SPECS, ZIGZAG, BitReader, BitWriter, code_assignment
+from softjpeg.codec.huffman import (
+    _MAGNITUDES,
+    DEFAULT_SPECS,
+    ZIGZAG,
+    BitReader,
+    code_assignment,
+    decode_scan,
+    encode_scan,
+    extend_magnitude,
+)
+
+# The default tables' {symbol: code} maps, and their {code: symbol} inverses.
+CODES = {key: dict(code_assignment(*spec)) for key, spec in DEFAULT_SPECS.items()}
+DECODE_MAPS = {key: {code: symbol for symbol, code in codes.items()}
+               for key, codes in CODES.items()}
+
+
+def scan_bytes(bits):
+    """A '0'/'1' string as a scan: padded with 1-bits, packed and stuffed."""
+    bits += "1" * (-len(bits) % 8)
+    return int(bits, 2).to_bytes(len(bits) // 8, "big").replace(b"\xff", b"\xff\x00")
 
 
 def make_grids(rng, rows, cols, height, width, dc_span=400, ac_span=200):
@@ -35,11 +55,53 @@ def test_zigzag_is_a_permutation():
     assert ZIGZAG[-2:].tolist() == [62, 63]
 
 
-def test_bitwriter_stuffs_ff_bytes():
-    w = BitWriter()
-    w.write(0xFF, 8)
-    w.write(0xAB, 8)
-    assert w.flush() == b"\xff\x00\xab"
+def test_encoded_scan_stuffs_every_ff_byte_and_decodes_back():
+    rng = np.random.default_rng(4)
+    blocks = [rng.integers(-1023, 1024, (3, 4, 8, 8)) for _ in range(3)]
+    dests = (0, 1, 1)
+    scan = encode_scan(blocks, dests)
+    ff = [i for i, byte in enumerate(scan) if byte == 0xFF]
+    assert len(ff) > 10
+    assert all(scan[i + 1] == 0x00 for i in ff)
+    maps = [(DECODE_MAPS[0, dest], DECODE_MAPS[1, dest]) for dest in dests]
+    decoded, end = decode_scan(scan, 0, 3, 4, maps)
+    assert end == len(scan)
+    for a, b in zip(blocks, decoded):
+        assert np.array_equal(a.reshape(12, 64), b)
+
+
+def test_magnitude_bits_have_their_category_length_and_extend_back():
+    assert sorted(_MAGNITUDES) == list(range(-2047, 2048))
+    for v in range(-2047, 2048):
+        cat, bits = _MAGNITUDES[v]
+        assert cat == abs(v).bit_length()  # SSSS, T.81 Table F.1
+        assert len(bits) == cat
+        assert extend_magnitude(int(bits or "0", 2), cat) == v
+
+
+def test_default_codes_are_prefix_free_and_as_long_as_their_size():
+    for lengths, values in DEFAULT_SPECS.values():
+        codes = [code for _, code in code_assignment(lengths, values)]
+        sizes = [size for size, count in enumerate(lengths, start=1) for _ in range(count)]
+        assert [len(code) for code in codes] == sizes
+        assert set("".join(codes)) == {"0", "1"}
+        for a in codes:
+            assert not any(b != a and b.startswith(a) for b in codes)
+
+
+def test_overfull_huffman_table_rejected_as_by_libjpeg(natural_image, stock_decode):
+    # Three 1-bit codes cannot exist; libjpeg's jpeg_make_d_derived_tbl
+    # stops at "Bogus Huffman table definition".  Read as a prefix code
+    # anyway, this image's scan would decode to a raster.
+    stream = encode_baseline(natural_image(16, 16, seed=1), tables_for_quality(50))
+    lengths = stream.index(b"\xff\xc4") + 5  # the Y DC table comes first
+    assert stream[lengths - 1] == 0x00
+    patched = (stream[:lengths] + bytes([3, 0, 4, 1, 1, 1, 1, 1] + [0] * 8)
+               + stream[lengths + 16 :])
+    with pytest.raises(ValueError, match="Bogus Huffman table definition"):
+        stock_decode(patched)
+    with pytest.raises(JpegFormatError, match="too many codes of length 1"):
+        entropy_decode(patched)
 
 
 def test_bitreader_unstuffs_and_detects_truncation():
@@ -76,15 +138,12 @@ def dc_climb_stream(mcus):
     stream = entropy_encode(grids, tables_for_quality(50))
     sos = stream.index(b"\xff\xda")
     head = stream[: sos + 2 + int.from_bytes(stream[sos + 2 : sos + 4], "big")]
-    codes = {key: {symbol: (code, size) for symbol, code, size in code_assignment(*spec)}
-             for key, spec in DEFAULT_SPECS.items()}
-    writer = BitWriter()
+    bits = ""
     for _ in range(mcus):
         for dest, cat in ((0, 11), (1, 0), (1, 0)):
-            writer.write(*codes[0, dest][cat])
-            writer.write((1 << cat) - 1, cat)  # magnitude bits: +2047, or none
-            writer.write(*codes[1, dest][0x00])  # EOB
-    return head + writer.flush() + b"\xff\xd9"
+            # The DC code, its magnitude bits (+2047, or none) and EOB.
+            bits += CODES[0, dest][cat] + "1" * cat + CODES[1, dest][0x00]
+    return head + scan_bytes(bits) + b"\xff\xd9"
 
 
 def test_dc_predictor_at_the_int16_limit_decodes():

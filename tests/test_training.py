@@ -1,6 +1,7 @@
 
 import importlib
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -273,9 +274,13 @@ def top_level_step(trailer, value):
         lambda trailer: top_level_step(trailer, b"1"),
         lambda trailer: trailer.replace(b'"step": 0', b'"step": -1'),
         lambda trailer: trailer.replace(b'"beta1": 0.9', b'"beta1": "x"'),
+        lambda trailer: trailer.replace(b'"beta1": 0.9', b'"beta1": NaN'),
+        lambda trailer: trailer.replace(b'"beta2": 0.999', b'"beta2": -Infinity'),
+        lambda trailer: trailer.replace(b'"eps": 1e-08', b'"eps": Infinity'),
     ],
     ids=["not-an-object", "not-utf8", "missing-step", "unknown-config-key", "zero-hidden-size",
-         "step-not-an-int", "step-not-the-adam-step", "negative-step", "adam-scalar-not-a-number"],
+         "step-not-an-int", "step-not-the-adam-step", "negative-step", "adam-scalar-not-a-number",
+         "adam-beta1-nan", "adam-beta2-minus-infinity", "adam-eps-infinity"],
 )
 def test_malformed_checkpoint_trailer_raises_checkpoint_format_error(init_checkpoint, edit):
     blob = init_checkpoint
@@ -300,7 +305,9 @@ def test_config_from_dict_checks_value_types():
     assert cfg.lr0 == 1 and cfg.loss.alpha == 0 and cfg.soft_round_alternate is False
     for data, key in (({"steps": 2.0}, "steps"), ({"lr0": True}, "lr0"),
                       ({"soft_round_alternate": 1}, "soft_round_alternate"),
-                      ({"loss": {"sigma": None}}, "sigma")):
+                      ({"loss": {"sigma": None}}, "sigma"), ({"lr0": math.nan}, "lr0"),
+                      ({"table_scale": math.inf}, "table_scale"), ({"lr_end": 10**400}, "lr_end"),
+                      ({"loss": {"gamma": -math.inf}}, "gamma")):
         with pytest.raises(ValueError, match=repr(key)):
             tr.TrainConfig.from_dict(data)
 
