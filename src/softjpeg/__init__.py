@@ -19,8 +19,7 @@ __version__ = "0.1.0"
 
 from . import autodiff, codec, editor, losses, pipeline, training
 from .estimator import LearnedJpeg, NotFittedError
-from .losses import LossConfig
-from .training import TrainConfig
+from .training import LossConfig, TrainConfig
 
 __all__ = [
     "LearnedJpeg",

@@ -25,6 +25,9 @@ DRI = 0xDD
 COM = 0xFE
 
 CHANNELS = ("Y", "Cb", "Cr")
+# The largest frame a stream may declare, 4096x4096 pixels: it caps the int16
+# coefficient grids and the raster a header can ask for at 96 and 48 MiB.
+MAX_PIXELS = 1 << 24
 # (component id, quantization/huffman destination) per channel.
 _COMPONENTS = ((1, 0), (2, 1), (3, 1))
 
@@ -177,6 +180,9 @@ class _StreamParser:
             raise JpegFormatError(f"only 3-component YCbCr streams are supported, got {ncomp}")
         if height == 0 or width == 0:
             raise JpegFormatError("SOF0 declares a zero-sized image")
+        if height * width > MAX_PIXELS:
+            raise JpegFormatError(f"SOF0 declares {width}x{height} pixels, more than the "
+                                  f"{MAX_PIXELS}-pixel limit")
         if len(payload) != 6 + 3 * ncomp:
             raise JpegFormatError("SOF0 segment length mismatch")
         qdest = {}
@@ -269,6 +275,9 @@ def entropy_decode(data):
             raise JpegFormatError(f"missing quantization table {qdest}")
         if (0, dc_dest) not in parser.hmaps or (1, ac_dest) not in parser.hmaps:
             raise JpegFormatError(f"missing Huffman tables for component {channel}")
+        # libjpeg rejects a DC value above 15 too, but only in a table a scan uses.
+        if max(parser.hmaps[0, dc_dest].values(), default=0) > 15:
+            raise JpegFormatError(f"DC Huffman table {dc_dest} holds a value above 15")
         qtables.append(parser.qtables[qdest])
         maps.append((parser.hmaps[0, dc_dest], parser.hmaps[1, ac_dest]))
     luma, cb, cr = qtables

@@ -17,8 +17,7 @@ import numpy as np
 from . import pipeline as pl
 from . import training as tr
 from .codec import decode_baseline
-from .losses import LossConfig
-from .training import TrainConfig
+from .training import LossConfig, TrainConfig
 
 
 class NotFittedError(RuntimeError):

@@ -6,8 +6,6 @@ tensor-only; the image-quality metrics (PSNR, SSIM, MS-SSIM) are plain
 numpy.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -20,30 +18,6 @@ ALIGNMENT_WEIGHT = 0.01
 _MSSSIM_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
 _WINDOW_SIZE = 11
 _MIN_MSSSIM_SIDE = _WINDOW_SIZE * 2 ** (len(_MSSSIM_WEIGHTS) - 1)  # 176
-
-
-@dataclass
-class LossConfig:
-    """Weights of the distortion / rate / alignment objective."""
-
-    lam: float = 0.9
-    gamma: float = 0.0
-    sigma: float = 0.25
-    alpha: float = 1e-3
-    beta: float = 1e-3
-
-    def __post_init__(self):
-        if not 0.0 < self.lam <= 0.99:
-            raise ValueError(f"lam must lie in (0, 0.99] so all weights stay nonnegative, "
-                             f"got {self.lam}")
-        if self.gamma < 0 or self.alpha < 0 or self.beta < 0:
-            raise ValueError("gamma, alpha and beta must be nonnegative")
-        if not 0.1 <= self.sigma <= 0.4:
-            raise ValueError(f"sigma must lie in [0.1, 0.4], got {self.sigma}")
-
-    @property
-    def rate_weight(self):
-        return 1.0 - self.lam - ALIGNMENT_WEIGHT
 
 
 def _check_same_shape(name, x, y):

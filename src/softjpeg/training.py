@@ -17,8 +17,68 @@ from . import pipeline as pl
 from .autodiff import Tensor
 from .codec import bits_per_pixel, decode_baseline, encode_baseline, read_ppm, tables_for_quality
 from .editor import stem_forward
-from .losses import LossConfig, loss_terms, msssim, msssim_db, psnr_from_mse, ssim
+from .losses import ALIGNMENT_WEIGHT, loss_terms, msssim, msssim_db, psnr_from_mse, ssim
 from .losses import mse as mse_metric
+
+
+# The types each scalar field accepts: those a checkpoint trailer writes as
+# JSON, with an int for a float; a bool is never a number.
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,)}
+
+
+def _check_fields(config, *rules):
+    """Raise ValueError naming the first field of a config dataclass whose
+    value has the wrong type or is a NaN or infinite float, or that fails a
+    rule: (its keys, space-separated, a predicate that must hold, what it
+    needs)."""
+    name = type(config).__name__
+    for f in fields(config):
+        value = getattr(config, f.name)
+        accepted = _JSON_TYPES.get(f.type)
+        if accepted and (not isinstance(value, accepted)
+                         or (isinstance(value, bool) and f.type is not bool)):
+            raise ValueError(f"{name} key {f.name!r} must be of type {f.type.__name__}, "
+                             f"got {value!r}")
+        # NaN fails every comparison; a huge int would overflow as a float.
+        if f.type is float and not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{name} key {f.name!r} must be finite, got {value!r}")
+    for keys, ok, need in rules:
+        for key in keys.split():
+            value = getattr(config, key)
+            if not ok(value):
+                raise ValueError(f"{name} key {key!r} must be {need}, got {value!r}")
+
+
+def _config_from_dict(cls, data):
+    """Build a config dataclass from a JSON object, naming any unknown key;
+    the class checks the values itself."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    return cls(**data)
+
+
+@dataclass
+class LossConfig:
+    """Weights of the distortion / rate / alignment objective."""
+
+    lam: float = 0.9
+    gamma: float = 0.0
+    sigma: float = 0.25
+    alpha: float = 1e-3
+    beta: float = 1e-3
+
+    def __post_init__(self):
+        _check_fields(self, ("lam", lambda v: 0 < v <= 0.99,
+                             "in (0, 0.99] so all weights stay nonnegative"),
+                      ("sigma", lambda v: 0.1 <= v <= 0.4, "in [0.1, 0.4]"),
+                      ("gamma alpha beta", lambda v: v >= 0, ">= 0"))
+
+    @property
+    def rate_weight(self):
+        return 1.0 - self.lam - ALIGNMENT_WEIGHT
 
 
 @dataclass
@@ -48,25 +108,11 @@ class TrainConfig:
     def __post_init__(self):
         if not isinstance(self.loss, LossConfig):
             self.loss = _config_from_dict(LossConfig, self.loss)
-        for key, ok, need in (
-            ("steps", self.steps >= 1, ">= 1"),
-            ("batch_size", self.batch_size >= 1, ">= 1"),
-            ("patch_size", self.patch_size >= 8 and self.patch_size % 8 == 0,
-             "a multiple of 8, at least 8"),
-            ("num_patches", self.num_patches >= 1, ">= 1"),
-            ("decay_power", self.decay_power > 0, "> 0"),
-            ("table_lr_scale", self.table_lr_scale >= 0, ">= 0"),
-            ("seed", self.seed >= 0, ">= 0"),
-            ("hidden_size", self.hidden_size >= 1, ">= 1"),
-            ("kwta_k", self.kwta_k >= 0, ">= 0"),
-            ("refine_steps", self.refine_steps >= 0, ">= 0"),
-            ("table_scale", self.table_scale > 0, "> 0"),
-        ):
-            if not ok:
-                raise ValueError(f"TrainConfig key {key!r} must be {need}, "
-                                 f"got {getattr(self, key)!r}")
-        if not self.lr0 > self.lr_end > 0:
-            raise ValueError(f"need lr0 > lr_end > 0, got {self.lr0}, {self.lr_end}")
+        _check_fields(self, ("steps batch_size num_patches hidden_size", lambda v: v >= 1, ">= 1"),
+                      ("patch_size", lambda v: v > 0 and v % 8 == 0, "a positive multiple of 8"),
+                      ("lr_end decay_power table_scale", lambda v: v > 0, "> 0"),
+                      ("lr0", lambda v: v > self.lr_end, f"> lr_end {self.lr_end!r}"),
+                      ("table_lr_scale seed kwta_k refine_steps", lambda v: v >= 0, ">= 0"))
 
     @property
     def pipeline(self):
@@ -81,31 +127,6 @@ class TrainConfig:
         return _config_from_dict(cls, data)
 
 
-# JSON value types each scalar field type accepts; bools are never numbers.
-_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,)}
-
-
-def _config_from_dict(cls, data):
-    """Build a dataclass from a JSON object, naming any unknown key, any
-    scalar of the wrong type and any NaN or infinite float."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{cls.__name__} must be a JSON object, got {type(data).__name__}")
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = sorted(set(data) - set(types))
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
-    for key, value in data.items():
-        accepted = _JSON_TYPES.get(types[key])
-        if accepted and (not isinstance(value, accepted)
-                         or (isinstance(value, bool) and types[key] is not bool)):
-            raise ValueError(f"{cls.__name__} key {key!r} must be a {types[key].__name__}, "
-                             f"got {value!r}")
-        # NaN fails every comparison; a huge int would overflow as a float.
-        if types[key] is float and not abs(value) <= sys.float_info.max:
-            raise ValueError(f"{cls.__name__} key {key!r} must be finite, got {value!r}")
-    return cls(**data)
-
-
 @dataclass
 class AdamState:
     m: dict
@@ -114,6 +135,11 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+
+    def __post_init__(self):
+        _check_fields(self, ("step", lambda v: v >= 0, ">= 0"),
+                      ("beta1 beta2", lambda v: 0 <= v < 1, "in [0, 1)"),
+                      ("eps", lambda v: v > 0, "> 0"))
 
 
 @dataclass
@@ -404,8 +430,8 @@ def checkpoint_from_bytes(blob):
         adam = _config_from_dict(AdamState, {**moments, **{name: trailer["adam"][name]
                                                            for name in _ADAM_SCALARS}})
         step = trailer["step"]
-        if type(step) is not int or step < 0 or step != adam.step:
-            raise CheckpointFormatError(f"step {step!r} must be a non-negative int equal to "
+        if type(step) is not int or step != adam.step:
+            raise CheckpointFormatError(f"step {step!r} must be an int equal to "
                                         f"the Adam step {adam.step!r}")
         return TrainingCheckpoint(params, adam, config)
     except CheckpointFormatError:

@@ -16,7 +16,8 @@ from softjpeg import training as tr
 from softjpeg.autodiff import Tensor
 from softjpeg.codec import decode_baseline, encode_baseline, round_half_away, tables_for_quality
 from softjpeg.codec.dct import fdct_blocks
-from softjpeg.losses import LossConfig, loss_terms, msssim, msssim_db, psnr_from_mse
+from softjpeg.losses import loss_terms, msssim, msssim_db, psnr_from_mse
+from softjpeg.training import LossConfig
 from tests.conftest import make_natural_image
 from tests.reference import grad_check, idct_blocks
 from tests.test_autodiff import _op_closures

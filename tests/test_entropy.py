@@ -26,6 +26,7 @@ from softjpeg.codec.huffman import (
     encode_scan,
     extend_magnitude,
 )
+from softjpeg.codec.jfif import MAX_PIXELS
 
 # The default tables' {symbol: code} maps, and their {code: symbol} inverses.
 CODES = {key: dict(code_assignment(*spec)) for key, spec in DEFAULT_SPECS.items()}
@@ -101,6 +102,19 @@ def test_overfull_huffman_table_rejected_as_by_libjpeg(natural_image, stock_deco
     with pytest.raises(ValueError, match="Bogus Huffman table definition"):
         stock_decode(patched)
     with pytest.raises(JpegFormatError, match="too many codes of length 1"):
+        entropy_decode(patched)
+
+
+def test_dc_huffman_value_above_15_rejected_as_by_libjpeg(natural_image, stock_decode):
+    # jpeg_make_d_derived_tbl also rejects a DC table value above 15.  This
+    # scan never codes the value, so read as a prefix code it would decode.
+    stream = encode_baseline(natural_image(16, 16, seed=1), tables_for_quality(50))
+    last_value = stream.index(b"\xff\xc4") + 5 + 16 + 11  # the Y DC table's 12th value
+    assert stream[last_value] == 11
+    patched = stream[:last_value] + bytes([20]) + stream[last_value + 1 :]
+    with pytest.raises(ValueError, match="Bogus Huffman table definition"):
+        stock_decode(patched)
+    with pytest.raises(JpegFormatError, match="DC Huffman table 0 holds a value above 15"):
         entropy_decode(patched)
 
 
@@ -318,6 +332,21 @@ def test_frame_larger_than_its_scan_rejected_before_allocating(valid_stream):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_frame_beyond_the_pixel_ceiling_rejected(valid_stream):
+    sof = valid_stream.index(b"\xff\xc0")
+
+    def declaring(height, width):
+        return valid_stream[: sof + 5] + struct.pack(">HH", height, width) + valid_stream[sof + 9 :]
+
+    assert MAX_PIXELS == 4096 * 4096
+    with pytest.raises(JpegFormatError, match="cannot hold 512x512 MCUs"):
+        entropy_decode(declaring(4096, 4096))
+    for height, width in ((4096, 4097), (65535, 65535)):
+        with pytest.raises(JpegFormatError, match=f"{width}x{height} pixels, more than the "
+                                                  f"{MAX_PIXELS}-pixel limit"):
+            entropy_decode(declaring(height, width))
 
 
 def test_scan_components_out_of_frame_order_rejected():

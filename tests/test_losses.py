@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from softjpeg import autodiff as ad
 from softjpeg import losses
 from softjpeg.autodiff import Tensor
 from softjpeg.pipeline import LearnableTables
+from softjpeg.training import LossConfig
 from tests.reference import grad_check
 
 
@@ -16,15 +19,17 @@ def tables_with_multiplier(value, scale=1e-5):
 
 
 def test_loss_config_validation():
-    losses.LossConfig(lam=0.9)
+    LossConfig(lam=0.9)
     with pytest.raises(ValueError):
-        losses.LossConfig(lam=0.995)
+        LossConfig(lam=0.995)
     with pytest.raises(ValueError):
-        losses.LossConfig(lam=0.0)
+        LossConfig(lam=0.0)
     with pytest.raises(ValueError):
-        losses.LossConfig(sigma=0.05)
+        LossConfig(sigma=0.05)
     with pytest.raises(ValueError):
-        losses.LossConfig(alpha=-1.0)
+        LossConfig(alpha=-1.0)
+    with pytest.raises(ValueError, match="'gamma' must be finite"):
+        LossConfig(gamma=math.nan)
 
 
 def test_mse_mae_identical_inputs_zero():
@@ -154,7 +159,7 @@ def test_alignment_sigma_out_of_range():
 
 def test_total_loss_weights_sum_to_one():
     for lam in (0.1, 0.5, 0.9, 0.99):
-        cfg = losses.LossConfig(lam=lam)
+        cfg = LossConfig(lam=lam)
         assert abs(cfg.lam + cfg.rate_weight + losses.ALIGNMENT_WEIGHT - 1.0) < 1e-15
 
 
@@ -164,7 +169,7 @@ def test_total_loss_hand_computed_combination():
     y = Tensor(np.array([2.0, 0.0, 0.0, 0.0]))  # MSE=1, MAE=0.5
     tables = tables_with_multiplier(1.0 / 16.0)
     scores = (Tensor(np.zeros((1, 64))), Tensor(np.zeros((1, 64))))
-    cfg = losses.LossConfig(lam=0.9, sigma=0.25, alpha=0.5 / 8.0, beta=0.0)
+    cfg = LossConfig(lam=0.9, sigma=0.25, alpha=0.5 / 8.0, beta=0.0)
     terms = losses.loss_terms(x, y, tables, scores, cfg)
     assert abs(terms["d"].item() - 1.0) < 1e-12
     assert abs(terms["r"].item() - 0.5) < 1e-9
@@ -177,7 +182,7 @@ def test_total_loss_zero_for_identical_images_without_rate():
     x = Tensor(np.full((3, 3), 7.0))
     tables = tables_with_multiplier(0.5)
     scores = (Tensor(np.zeros((1, 64))), Tensor(np.zeros((1, 64))))
-    cfg = losses.LossConfig(lam=0.9, alpha=0.0, beta=0.0)
+    cfg = LossConfig(lam=0.9, alpha=0.0, beta=0.0)
     terms = losses.loss_terms(x, Tensor(np.full((3, 3), 7.0)), tables, scores, cfg)
     assert terms["total"].item() == 0.0
 
@@ -186,7 +191,7 @@ def test_loss_gradients_pass_finite_difference_check():
     rng = np.random.default_rng(5)
     y = Tensor(rng.uniform(0, 10, (1, 4)))
     tables = tables_with_multiplier(0.125)
-    cfg = losses.LossConfig(lam=0.9, sigma=0.25, alpha=1e-2, beta=1e-2)
+    cfg = LossConfig(lam=0.9, sigma=0.25, alpha=1e-2, beta=1e-2)
 
     def through_xhat(t):
         scores = (ad.concat([t] * 16, axis=1), Tensor(np.full((1, 64), 0.3)))

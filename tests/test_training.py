@@ -8,12 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from softjpeg import LearnedJpeg
 from softjpeg import pipeline as pl
 from softjpeg import training as tr
 from softjpeg.autodiff import Tensor
 from softjpeg.codec import decode_baseline, encode_baseline, tables_for_quality, write_ppm
-from softjpeg.losses import LossConfig, psnr
-from softjpeg.training import CSV_HEADER, CheckpointFormatError, load_tensors
+from softjpeg.losses import psnr
+from softjpeg.training import CSV_HEADER, CheckpointFormatError, LossConfig, load_tensors
 from tests.conftest import make_natural_image
 
 
@@ -277,10 +278,15 @@ def top_level_step(trailer, value):
         lambda trailer: trailer.replace(b'"beta1": 0.9', b'"beta1": NaN'),
         lambda trailer: trailer.replace(b'"beta2": 0.999', b'"beta2": -Infinity'),
         lambda trailer: trailer.replace(b'"eps": 1e-08', b'"eps": Infinity'),
+        lambda trailer: trailer.replace(b'"beta1": 0.9', b'"beta1": 1.0'),
+        lambda trailer: trailer.replace(b'"beta2": 0.999', b'"beta2": 1.0'),
+        lambda trailer: trailer.replace(b'"eps": 1e-08', b'"eps": 0'),
+        lambda trailer: trailer.replace(b'"eps": 1e-08', b'"eps": -1'),
     ],
     ids=["not-an-object", "not-utf8", "missing-step", "unknown-config-key", "zero-hidden-size",
          "step-not-an-int", "step-not-the-adam-step", "negative-step", "adam-scalar-not-a-number",
-         "adam-beta1-nan", "adam-beta2-minus-infinity", "adam-eps-infinity"],
+         "adam-beta1-nan", "adam-beta2-minus-infinity", "adam-eps-infinity", "adam-beta1-one",
+         "adam-beta2-one", "adam-eps-zero", "adam-eps-negative"],
 )
 def test_malformed_checkpoint_trailer_raises_checkpoint_format_error(init_checkpoint, edit):
     blob = init_checkpoint
@@ -303,13 +309,20 @@ def test_config_from_dict_names_unknown_keys():
 def test_config_from_dict_checks_value_types():
     cfg = tr.TrainConfig.from_dict({"lr0": 1, "loss": {"alpha": 0}, "soft_round_alternate": False})
     assert cfg.lr0 == 1 and cfg.loss.alpha == 0 and cfg.soft_round_alternate is False
+    assert type(cfg.lr0) is int  # validation never casts, so the trailer stays as written
     for data, key in (({"steps": 2.0}, "steps"), ({"lr0": True}, "lr0"),
                       ({"soft_round_alternate": 1}, "soft_round_alternate"),
                       ({"loss": {"sigma": None}}, "sigma"), ({"lr0": math.nan}, "lr0"),
                       ({"table_scale": math.inf}, "table_scale"), ({"lr_end": 10**400}, "lr_end"),
-                      ({"loss": {"gamma": -math.inf}}, "gamma")):
-        with pytest.raises(ValueError, match=repr(key)):
-            tr.TrainConfig.from_dict(data)
+                      ({"loss": {"gamma": -math.inf}}, "gamma"), ({"lr0": math.inf}, "lr0"),
+                      ({"steps": np.int64(2)}, "steps"), ({"steps": 2.5}, "steps"),
+                      ({"seed": 1.5}, "seed")):
+        # A config is checked alike when built from JSON, in Python or by the estimator.
+        for build in (tr.TrainConfig.from_dict, lambda d: tr.TrainConfig(**d),
+                      lambda d: LearnedJpeg(**{k: v for k, v in d.items() if k != "loss"},
+                                            **d.get("loss", {})).fit([])):
+            with pytest.raises(ValueError, match=repr(key)):
+                build(data)
 
 
 def test_feature_proxy_raises_distortion_and_reaches_the_stem():
