@@ -16,6 +16,8 @@ from .jfif import (
     entropy_decode,
     entropy_encode,
     forward_grids,
+    quantize_grids,
+    transform_grids,
 )
 from .ppm import PpmFormatError, decode_ppm, encode_ppm, read_ppm, write_ppm
 from .quant import (
@@ -48,9 +50,11 @@ __all__ = [
     "forward_grids",
     "partition_plane",
     "quantize_blocks",
+    "quantize_grids",
     "read_ppm",
     "rgb_to_ycbcr",
     "round_half_away",
     "tables_for_quality",
+    "transform_grids",
     "write_ppm",
 ]

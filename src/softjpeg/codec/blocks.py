@@ -6,6 +6,9 @@ import numpy as np
 
 BLOCK = 8
 LEVEL_SHIFT = 128.0
+# MCUs per band: the encoder transforms, quantizes and Huffman-codes a band of
+# MCU rows at a time, so its temporaries never cover the whole frame.
+BAND_MCUS = 256
 
 
 @dataclass
@@ -47,3 +50,10 @@ def partition_plane(plane):
     padded = plane - LEVEL_SHIFT
     *lead, ph, pw = padded.shape
     return np.swapaxes(padded.reshape(*lead, ph // BLOCK, BLOCK, pw // BLOCK, BLOCK), -3, -2)
+
+
+def mcu_row_bands(rows, cols):
+    """Slices of MCU rows, of about ``BAND_MCUS`` MCUs each, covering a grid
+    of ``rows`` x ``cols`` MCUs top to bottom."""
+    step = max(1, BAND_MCUS // max(cols, 1))
+    return [slice(top, min(top + step, rows)) for top in range(0, rows, step)]

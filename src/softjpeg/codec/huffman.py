@@ -1,10 +1,15 @@
 """The entropy-coded segment: default Huffman tables, canonical code
 assignment (ITU-T T.81 Annex C), bit I/O with byte stuffing and the
-baseline scan syntax (Annex F.1.2 / F.2.2).  Huffman codes and magnitude
-bits are '0'/'1' strings, packed into bytes one MCU row at a time."""
+baseline scan syntax (Annex F.1.2 / F.2.2).
+
+A Huffman code is its '0'/'1' bit string for the stream parser and the
+decoder.  The encoder works on arrays instead: each table's codes and
+lengths indexed by symbol, and whole bands of MCU rows coded and packed
+into bytes at once."""
 
 import numpy as np
 
+from .blocks import mcu_row_bands
 from .errors import CoefficientRangeError, JpegFormatError
 
 # Zigzag scan: ZIGZAG[k] is the natural (row-major) index of the k-th element.
@@ -94,20 +99,31 @@ def code_assignment(lengths, values):
         code <<= 1
 
 
-# The encoder's {symbol: code} tables; it writes no others.
-_ENCODE_TABLES = {key: dict(code_assignment(*spec)) for key, spec in DEFAULT_SPECS.items()}
+def _code_arrays(dest):
+    """(codes, lengths) of the default tables of ``dest`` as arrays indexed
+    by ``class * 256 + symbol``: DC symbols first, then AC."""
+    codes, lengths = np.zeros(512, np.int64), np.zeros(512, np.int64)
+    for cls in (0, 1):
+        for symbol, code in code_assignment(*DEFAULT_SPECS[cls, dest]):
+            codes[cls * 256 + symbol], lengths[cls * 256 + symbol] = int(code, 2), len(code)
+    return codes, lengths
+
+
+# The encoder's code and length arrays by table destination; it writes no
+# other tables.
+_ENCODE_TABLES = {dest: _code_arrays(dest) for dest in (0, 1)}
+_AC, _ZRL, _EOB = 256, 256 + 0xF0, 256 + 0x00
+# SSSS (T.81 Table F.1) and magnitude bits (F.1.2.1) of every value a
+# baseline scan codes, -2047..2047, at index value + 2047: a negative
+# value's bits are the one's complement of its absolute value's.
+_CATEGORY = np.array([abs(v).bit_length() for v in range(-2047, 2048)], dtype=np.int64)
+_MAGNITUDE = np.array([(v - (v < 0)) & (1 << abs(v).bit_length()) - 1
+                       for v in range(-2047, 2048)], dtype=np.int64)
 
 
 def extend_magnitude(bits, category):
     """Signed value of ``category`` magnitude bits (T.81 F.2.2.1 EXTEND)."""
     return bits if bits >= (1 << category) >> 1 else bits - (1 << category) + 1
-
-
-# Every value a baseline scan codes, -2047..2047, to its (category, magnitude
-# bits) (T.81 F.1.2.1), the inverse of EXTEND: a negative value's bits are the
-# one's complement of its absolute value's.
-_MAGNITUDES = {0: (0, ""), **{extend_magnitude(bits, cat): (cat, format(bits, f"0{cat}b"))
-                              for cat in range(1, 12) for bits in range(1 << cat)}}
 
 
 class BitReader:
@@ -162,56 +178,105 @@ class BitReader:
         raise JpegFormatError("invalid Huffman code in entropy-coded data")
 
 
-def _encode_block(bits, zz, prev_dc, dc_codes, ac_codes):
-    """Append one zigzag-ordered block's code and magnitude strings to
-    ``bits`` (T.81 F.1.2)."""
-    diff = zz[0] - prev_dc
-    if diff not in _MAGNITUDES:
-        raise CoefficientRangeError(f"DC difference {diff} is not Huffman-encodable")
-    cat, magnitude = _MAGNITUDES[diff]
-    bits += dc_codes[cat], magnitude
+def _scan_words(zz, dc_diffs, codes, lengths):
+    """One (word, bit length) per coded coefficient of zigzag-ordered blocks,
+    in scan order: the ZRLs before it, its code and magnitude bits (T.81
+    F.1.2) and, after a block's last one, EOB if the block ends in zeros.
+    ``zz`` is (blocks, 64), ``dc_diffs`` the blocks' DC differences, and
+    block i is coded with row i % len(codes) of the (components, 512) code
+    and length arrays."""
+    coded = zz != 0
+    coded[:, 0] = True  # every block codes its DC difference
+    at = np.flatnonzero(coded)
+    k = at & 63
+    dc_at = np.flatnonzero(k == 0)
+    value = zz.reshape(-1)[at].astype(np.int64)
+    value[dc_at] = dc_diffs
+    if value.min() < -1023 or value.max() > 1023:
+        peak = np.full(value.shape, 1023)
+        peak[dc_at] = 2047
+        bad = np.abs(value) > peak
+        if bad.any():
+            first = int(np.argmax(bad))  # in scan order
+            what = "DC difference" if k[first] == 0 else "AC coefficient"
+            raise CoefficientRangeError(f"{what} {value[first]} is not Huffman-encodable")
+    value += 2047
+    cat = _CATEGORY[value]
+    run = np.diff(k, prepend=0) - 1  # zeros since the block's last coded one
+    # Each code's flat index in ``codes``: its component's row, then symbol.
+    row = (at >> 6) % len(codes) * 512
+    symbol = row + _AC + ((run & 15) << 4 | cat)
+    symbol[dc_at] = row[dc_at] + cat[dc_at]
+    codes, lengths = codes.reshape(-1), lengths.reshape(-1)
+    word = codes[symbol] << cat | _MAGNITUDE[value]
+    length = lengths[symbol] + cat
+    # EOB after the last coded coefficient of a block that ends in zeros.
+    last = np.append(dc_at[1:], len(at)) - 1
+    last = last[k[last] < 63]
+    eob = row[last] + _EOB
+    word[last] = word[last] << lengths[eob] | codes[eob]
+    length[last] += lengths[eob]
+    # ZRLs before a coefficient that follows 16 zeros or more; rare.
+    zrls = run >> 4
+    zrls[dc_at] = 0
+    ahead = np.flatnonzero(zrls)
+    while ahead.size:
+        zrl = row[ahead] + _ZRL
+        word[ahead] |= codes[zrl] << length[ahead]
+        length[ahead] += lengths[zrl]
+        zrls[ahead] -= 1
+        ahead = ahead[zrls[ahead] > 0]
+    return word, length
 
-    run = 0
-    for v in zz[1:]:
-        if v == 0:
-            run += 1
-            continue
-        while run >= 16:
-            bits.append(ac_codes[0xF0])
-            run -= 16
-        cat, magnitude = _MAGNITUDES[v]
-        if cat > 10:
-            raise CoefficientRangeError(f"AC coefficient {v} is not Huffman-encodable")
-        bits += ac_codes[run << 4 | cat], magnitude
-        run = 0
-    if run:
-        bits.append(ac_codes[0x00])
-    return zz[0]
+
+def _pack(words, lengths, carry, carry_bits):
+    """Pack (word, bit length) pairs MSB first after ``carry_bits`` bits of
+    ``carry`` (a byte whose other bits are 0): (whole bytes, the next carry
+    byte, its bit count)."""
+    end = np.cumsum(lengths) + carry_bits
+    total = int(end[-1])
+    # A word ends in byte ``last``, ``shift`` bits short of its end, and
+    # spans at most ``pieces`` bytes; 8 more keep the indices of its
+    # earlier, empty, pieces non-negative.
+    last = (end - 1 >> 3) + 8
+    shift = -end & 7
+    pieces = (int(lengths.max()) + 14) >> 3
+    out = np.bincount(last, (words & 0xFF) << shift & 0xFF, minlength=(total + 7 >> 3) + 8)
+    for j in range(1, pieces):
+        out += np.bincount(last - j, (words >> (8 * j - shift)) & 0xFF, minlength=out.size)
+    out = out[8:].astype(np.uint8)
+    out[0] |= carry
+    whole = total >> 3
+    if total & 7:
+        return out[:whole].tobytes(), int(out[whole]), total & 7
+    return out.tobytes(), 0, 0
 
 
 def encode_scan(blocks, dests):
     """The stuffed entropy-coded segment of an interleaved scan: ``blocks``
-    holds each component's (rows, cols, 8, 8) integer array, with every
-    coefficient within +-2047, and ``dests`` its default-table destination."""
-    tables = [(_ENCODE_TABLES[0, dest], _ENCODE_TABLES[1, dest]) for dest in dests]
+    holds each component's (rows, cols, 8, 8) integer array and ``dests``
+    its default-table destination.  A DC difference past +-2047 or an AC
+    coefficient past +-1023 raises CoefficientRangeError, naming the first
+    in scan order.
+
+    The scan is coded one band of MCU rows at a time, as arrays: the DC
+    predictor and the bits short of a whole byte carry into the next band."""
+    codes = np.stack([_ENCODE_TABLES[dest][0] for dest in dests])
+    lengths = np.stack([_ENCODE_TABLES[dest][1] for dest in dests])
     scan = bytearray()
-    bits = ""  # what the last MCU row left short of a whole byte
-    prev_dc = [0] * len(blocks)
-    for mcu_row in zip(*blocks):
-        # Zigzag-ordered Python int lists, much faster in the symbol loop
-        # below, built one MCU row at a time so they never cover the frame.
-        zigzagged = [b.reshape(-1, 64)[:, ZIGZAG].astype(np.int64).tolist() for b in mcu_row]
-        parts = [bits]
-        for mcu in zip(*zigzagged):
-            for ci, zz in enumerate(mcu):
-                prev_dc[ci] = _encode_block(parts, zz, prev_dc[ci], *tables[ci])
-        # Packed row by row, so no bit string spans the scan.
-        bits = "".join(parts)
-        whole = len(bits) - len(bits) % 8
-        scan += int(bits[:whole] or "0", 2).to_bytes(whole // 8, "big")
-        bits = bits[whole:]
-    if bits:  # pad the last byte with 1-bits
-        scan.append(int(bits.ljust(8, "1"), 2))
+    carry, carry_bits = 0, 0
+    prev_dc = np.zeros(len(blocks), dtype=np.int64)
+    for band in mcu_row_bands(*blocks[0].shape[:2]):
+        # (MCUs, components, 64): block i of the band is component i % components.
+        zz = np.stack([b[band].reshape(-1, 64)[:, ZIGZAG] for b in blocks], axis=1)
+        dc = zz[:, :, 0].astype(np.int64)
+        diffs = np.diff(dc, axis=0, prepend=prev_dc[None])
+        prev_dc = dc[-1]
+        words, word_lengths = _scan_words(zz.reshape(-1, 64), diffs.reshape(-1), codes, lengths)
+        packed, carry, carry_bits = _pack(words, word_lengths, carry, carry_bits)
+        scan += packed
+    if carry_bits:  # pad the last byte with 1-bits
+        scan.append(carry | 0xFF >> carry_bits)
     return bytes(scan.replace(b"\xff", b"\xff\x00"))
 
 

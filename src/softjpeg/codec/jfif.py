@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 
-from .blocks import CoefficientGrid, partition_plane
+from .blocks import BLOCK, CoefficientGrid, mcu_row_bands, partition_plane
 from .color import rgb_to_ycbcr
 from .dct import fdct_blocks
 from .errors import CoefficientRangeError, JpegFormatError
@@ -28,8 +28,23 @@ CHANNELS = ("Y", "Cb", "Cr")
 # The largest frame a stream may declare, 4096x4096 pixels: it caps the int16
 # coefficient grids and the raster a header can ask for at 96 and 48 MiB.
 MAX_PIXELS = 1 << 24
+# SOF0 declares each side of the frame in 16 bits.
+MAX_SIDE = 0xFFFF
 # (component id, quantization/huffman destination) per channel.
 _COMPONENTS = ((1, 0), (2, 1), (3, 1))
+
+
+def check_frame(height, width):
+    """Raise JpegFormatError unless SOF0 can declare a ``height`` x ``width``
+    frame and decode_baseline accepts it: both sides in 1..MAX_SIDE and at
+    most MAX_PIXELS pixels.  The stream parser and the encoder share it, so
+    the encoder writes no frame the decoder refuses."""
+    if not (0 < height <= MAX_SIDE and 0 < width <= MAX_SIDE):
+        raise JpegFormatError(f"frame declares {width}x{height} pixels: each side must be "
+                              f"in 1..{MAX_SIDE}")
+    if height * width > MAX_PIXELS:
+        raise JpegFormatError(f"frame declares {width}x{height} pixels, more than the "
+                              f"{MAX_PIXELS}-pixel limit")
 
 
 def _segment(marker, payload):
@@ -82,11 +97,15 @@ def entropy_encode(grids, tables):
     ``grids`` is a (Y, Cb, Cr) tuple of integer CoefficientGrids with a common
     block-grid shape; ``tables`` is the QuantTablePair to embed in the DQT
     segments.  Raises CoefficientRangeError for coefficients the baseline
-    Huffman tables cannot represent.
+    Huffman tables cannot represent, and JpegFormatError for a frame that
+    ``check_frame`` refuses.
     """
     y, cb, cr = grids
     if not (y.blocks.shape == cb.blocks.shape == cr.blocks.shape):
         raise ValueError("coefficient grids must share one block-grid shape")
+    if not all(np.issubdtype(g.blocks.dtype, np.integer) for g in grids):
+        raise ValueError("coefficient grids must hold integers")
+    check_frame(y.height, y.width)
     _check_coefficient_range(grids)
 
     scan = encode_scan([g.blocks for g in grids], [dest for _, dest in _COMPONENTS])
@@ -178,11 +197,7 @@ class _StreamParser:
             raise JpegFormatError(f"only 8-bit sample precision is supported, got {precision}")
         if ncomp != 3:
             raise JpegFormatError(f"only 3-component YCbCr streams are supported, got {ncomp}")
-        if height == 0 or width == 0:
-            raise JpegFormatError("SOF0 declares a zero-sized image")
-        if height * width > MAX_PIXELS:
-            raise JpegFormatError(f"SOF0 declares {width}x{height} pixels, more than the "
-                                  f"{MAX_PIXELS}-pixel limit")
+        check_frame(height, width)
         if len(payload) != 6 + 3 * ncomp:
             raise JpegFormatError("SOF0 segment length mismatch")
         qdest = {}
@@ -296,27 +311,64 @@ def entropy_decode(data):
     return grids, QuantTablePair(luma, cb), (height, width)
 
 
+def _empty_grids(height, width, dtype):
+    shape = (-(-height // BLOCK), -(-width // BLOCK), BLOCK, BLOCK)
+    return tuple(CoefficientGrid(channel, np.empty(shape, dtype), height, width)
+                 for channel in CHANNELS)
+
+
+def _transform_band(rgb, band):
+    """Transform stage: the float64 DCT coefficients, (Y/Cb/Cr, rows, cols,
+    8, 8), of the MCU rows ``band`` of an (H, W, 3) raster."""
+    ycc = rgb_to_ycbcr(rgb[band.start * BLOCK : band.stop * BLOCK])
+    return fdct_blocks(partition_plane(np.moveaxis(ycc, -1, 0)))
+
+
+def _quantize_band(coeffs, tables, grids, band):
+    """Quantize stage: write one band's coefficients into the integer grids."""
+    for plane, grid in zip(coeffs, grids):
+        grid.blocks[band] = quantize_blocks(plane, tables.for_channel(grid.channel))
+
+
 def forward_grids(rgb, tables):
     """Color-convert, block, DCT and quantize an image with a QuantTablePair:
     int16 grids ready for entropy coding (the quantized DCT of 8-bit samples
-    lies within +-2048)."""
+    lies within +-2048).
+
+    The work runs one band of MCU rows at a time into the preallocated
+    grids, so the float image and its planes never exist whole."""
     rgb = np.asarray(rgb)
-    height, width = rgb.shape[:2]
-    ycc = rgb_to_ycbcr(rgb)
-    # Contiguous planes, so that the (H, W, 3) image is freed before the
-    # DCT and each plane as soon as its channel is transformed.
-    planes = [np.ascontiguousarray(ycc[:, :, ci]) for ci in range(len(CHANNELS))]
-    del ycc
-    grids = []
-    for channel in CHANNELS:
-        coeffs = fdct_blocks(partition_plane(planes.pop(0)))
-        coeffs = quantize_blocks(coeffs, tables.for_channel(channel)).astype(np.int16)
-        grids.append(CoefficientGrid(channel, coeffs, height, width))
-    return tuple(grids)
+    grids = _empty_grids(*rgb.shape[:2], np.int16)
+    for band in mcu_row_bands(*grids[0].blocks.shape[:2]):
+        _quantize_band(_transform_band(rgb, band), tables, grids, band)
+    return grids
+
+
+def transform_grids(rgb):
+    """The transform stage of ``forward_grids`` alone: float64 grids that
+    ``quantize_grids`` turns into what ``forward_grids`` returns, so one
+    image can be quantized with many tables but transformed once."""
+    rgb = np.asarray(rgb)
+    grids = _empty_grids(*rgb.shape[:2], np.float64)
+    for band in mcu_row_bands(*grids[0].blocks.shape[:2]):
+        for plane, grid in zip(_transform_band(rgb, band), grids):
+            grid.blocks[band] = plane
+    return grids
+
+
+def quantize_grids(grids, tables):
+    """The quantize stage of ``forward_grids`` alone, on ``transform_grids``
+    output."""
+    quantized = _empty_grids(grids[0].height, grids[0].width, np.int16)
+    for band in mcu_row_bands(*grids[0].blocks.shape[:2]):
+        _quantize_band([grid.blocks[band] for grid in grids], tables, quantized, band)
+    return quantized
 
 
 def encode_baseline(rgb, tables):
-    """Compress an (H, W, 3) uint8 raster to a JFIF stream."""
+    """Compress an (H, W, 3) uint8 raster to a JFIF stream; a frame that
+    ``check_frame`` refuses raises JpegFormatError before any work."""
+    check_frame(*np.shape(rgb)[:2])
     return entropy_encode(forward_grids(rgb, tables), tables)
 
 

@@ -15,7 +15,8 @@ import numpy as np
 from . import autodiff as ad
 from . import pipeline as pl
 from .autodiff import Tensor
-from .codec import bits_per_pixel, decode_baseline, encode_baseline, read_ppm, tables_for_quality
+from .codec import bits_per_pixel, decode_baseline, entropy_encode, quantize_grids, read_ppm
+from .codec import tables_for_quality, transform_grids
 from .editor import stem_forward
 from .losses import ALIGNMENT_WEIGHT, loss_terms, msssim, msssim_db, psnr_from_mse, ssim
 from .losses import mse as mse_metric
@@ -457,9 +458,11 @@ def _match_baseline_quality(image, target_bpp):
     """Binary-search the quality whose baseline bpp is nearest the target;
     returns (quality, bpp, stream)."""
     h, w = image.shape[:2]
+    coefficients = transform_grids(image)  # the same for every probe
 
     def encode(q):
-        stream = encode_baseline(image, tables_for_quality(q))
+        tables = tables_for_quality(q)
+        stream = entropy_encode(quantize_grids(coefficients, tables), tables)
         return q, bits_per_pixel(stream, w, h), stream
 
     lo, hi = encode(1), encode(100)

@@ -5,6 +5,8 @@ RGB) is the textbook counterpart of the encoder; the library decodes with
 the integer path of ``codec.intdecode`` instead, so only tests use these.
 ``grad_check`` compares ``autodiff`` gradients with central differences.
 ``kwta_stable_argsort`` is the sort-based form of ``autodiff.kwta``.
+``encode_scan_per_symbol`` is the symbol-at-a-time form of
+``codec.huffman.encode_scan``.
 """
 
 import numpy as np
@@ -13,6 +15,8 @@ from softjpeg.autodiff import Tensor, backward
 from softjpeg.codec.blocks import BLOCK, LEVEL_SHIFT
 from softjpeg.codec.color import RGB_FROM_YCBCR
 from softjpeg.codec.dct import DCT_MATRIX
+from softjpeg.codec.errors import CoefficientRangeError
+from softjpeg.codec.huffman import DEFAULT_SPECS, ZIGZAG, code_assignment, extend_magnitude
 
 _CHROMA_OFFSET = np.array([0.0, 128.0, 128.0])
 
@@ -81,3 +85,56 @@ def kwta_stable_argsort(values, k):
     mask = np.zeros_like(flat)
     np.put_along_axis(mask, order[:, :k], 1.0, axis=1)
     return values * mask.reshape(values.shape)
+
+
+# Every value a baseline scan codes, -2047..2047, to its (category, magnitude
+# bits) (T.81 F.1.2.1), the inverse of EXTEND: a negative value's bits are the
+# one's complement of its absolute value's.
+_MAGNITUDES = {0: (0, ""), **{extend_magnitude(bits, cat): (cat, format(bits, f"0{cat}b"))
+                              for cat in range(1, 12) for bits in range(1 << cat)}}
+
+_CODES = {key: dict(code_assignment(*spec)) for key, spec in DEFAULT_SPECS.items()}
+
+
+def _encode_block(bits, zz, prev_dc, dc_codes, ac_codes):
+    """Append one zigzag-ordered block's code and magnitude strings to
+    ``bits`` (T.81 F.1.2)."""
+    diff = zz[0] - prev_dc
+    if diff not in _MAGNITUDES:
+        raise CoefficientRangeError(f"DC difference {diff} is not Huffman-encodable")
+    cat, magnitude = _MAGNITUDES[diff]
+    bits += dc_codes[cat], magnitude
+
+    run = 0
+    for v in zz[1:]:
+        if v == 0:
+            run += 1
+            continue
+        while run >= 16:
+            bits.append(ac_codes[0xF0])
+            run -= 16
+        cat, magnitude = _MAGNITUDES[v]
+        if cat > 10:
+            raise CoefficientRangeError(f"AC coefficient {v} is not Huffman-encodable")
+        bits += ac_codes[run << 4 | cat], magnitude
+        run = 0
+    if run:
+        bits.append(ac_codes[0x00])
+    return zz[0]
+
+
+def encode_scan_per_symbol(blocks, dests):
+    """``codec.huffman.encode_scan`` one code string at a time: the stuffed
+    scan of each component's (rows, cols, 8, 8) blocks, coded with the
+    default tables of ``dests``."""
+    tables = [(_CODES[0, dest], _CODES[1, dest]) for dest in dests]
+    bits = []
+    prev_dc = [0] * len(blocks)
+    zigzagged = [b.reshape(-1, 64)[:, ZIGZAG].astype(np.int64).tolist() for b in blocks]
+    for mcu in zip(*zigzagged):
+        for ci, zz in enumerate(mcu):
+            prev_dc[ci] = _encode_block(bits, zz, prev_dc[ci], *tables[ci])
+    bits = "".join(bits)
+    bits += "1" * (-len(bits) % 8)  # pad the last byte with 1-bits
+    scan = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+    return scan.replace(b"\xff", b"\xff\x00")

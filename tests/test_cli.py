@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from softjpeg import cli
 from softjpeg import training as tr
 from softjpeg.cli import main
 from softjpeg.codec import read_ppm, write_ppm
@@ -77,6 +79,27 @@ def test_non_jpeg_input_exits_3(workdir, capsys):
     code = main(["decode", "--input", str(src), "--output", str(tmp / "x.ppm")])
     assert code == 3
     assert "SOI" in capsys.readouterr().err
+
+
+def test_frame_wider_than_sof0_can_declare_exits_3(tmp_path, capsys):
+    src = tmp_path / "wide.ppm"
+    write_ppm(src, np.full((1, 70000, 3), 90, dtype=np.uint8))
+    out = tmp_path / "wide.jpg"
+    code = main(["encode", "--input", str(src), "--output", str(out), "--quality", "50"])
+    assert code == 3
+    assert "each side must be in 1..65535" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_frame_past_the_decoder_pixel_limit_exits_3(tmp_path, capsys, monkeypatch):
+    # A 4104x4104 PPM is 48 MiB; a broadcast raster stands in for reading it.
+    monkeypatch.setattr(cli, "read_ppm", lambda path: np.broadcast_to(np.uint8(90),
+                                                                      (4104, 4104, 3)))
+    out = tmp_path / "big.jpg"
+    code = main(["encode", "--input", "big.ppm", "--output", str(out), "--quality", "50"])
+    assert code == 3
+    assert "more than the 16777216-pixel limit" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reference_dimension_mismatch_exits_3(workdir, capsys):

@@ -4,7 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from softjpeg import pipeline as pl
+from softjpeg import training as tr
 from softjpeg.codec import (
+    CoefficientGrid,
     JpegFormatError,
     PpmFormatError,
     QuantTablePair,
@@ -13,7 +16,11 @@ from softjpeg.codec import (
     decode_ppm,
     encode_baseline,
     encode_ppm,
+    entropy_encode,
+    forward_grids,
+    quantize_grids,
     tables_for_quality,
+    transform_grids,
 )
 from softjpeg.losses import psnr
 
@@ -101,6 +108,19 @@ def test_768x512_encode_has_positive_finite_bpp(natural_image):
     assert 0.2 <= bpp <= 2.0
 
 
+@pytest.mark.parametrize("shape", [(1, 300), (300, 1), (150, 120), (13, 2100)])
+def test_transform_once_then_quantize_equals_forward_grids(natural_image, shape):
+    # Shapes of one MCU row or column, several bands and partial blocks.
+    img = natural_image(*shape, seed=12)
+    coefficients = transform_grids(img)
+    for quality in (1, 60, 100):
+        tables = tables_for_quality(quality)
+        for a, b in zip(quantize_grids(coefficients, tables), forward_grids(img, tables)):
+            assert a.blocks.dtype == b.blocks.dtype == np.int16
+            assert np.array_equal(a.blocks, b.blocks)
+            assert (a.channel, a.height, a.width) == (b.channel, b.height, b.width)
+
+
 def traced_peak(call):
     """tracemalloc peak, in bytes, of ``call()``."""
     tracemalloc.start()
@@ -121,12 +141,43 @@ def test_decode_working_set_is_bounded_by_the_raster():
 
 
 def test_kodak_size_encode_peak_memory(natural_image):
-    # 30 MB before the color transform worked in place and the quantized
-    # grids became int16; the float64 image and its YCbCr copy are 18 MB.
+    # 18 MB when the float64 image and its YCbCr copy existed whole; the
+    # banded front end and Huffman coder hold the int16 grids (2.25 MiB)
+    # and one band's temporaries.
     img = natural_image(512, 768, seed=5)
     for quality in (50, 90):
         tables = tables_for_quality(quality)
-        assert traced_peak(lambda: encode_baseline(img, tables)) <= 22 * 2**20
+        assert traced_peak(lambda: encode_baseline(img, tables)) <= 8 * 2**20
+
+
+def test_large_encode_peak_memory_is_set_by_its_int16_grids(natural_image):
+    # The float64 YCbCr image alone would be 96 MiB; the int16 grids are 24.
+    img = np.tile(natural_image(256, 256, seed=11), (8, 8, 1))
+    grid_bytes = 3 * img.shape[0] * img.shape[1] * 2
+    peak = traced_peak(lambda: encode_baseline(img, tables_for_quality(75)))
+    assert peak <= grid_bytes + 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+# A frame SOF0 cannot declare (a side past 65535) and one decode_baseline
+# refuses (past MAX_PIXELS); broadcast, so that no raster is allocated.
+UNWRITABLE_FRAMES = [((1, 70000), "each side must be in 1..65535"),
+                     ((4104, 4104), "more than the 16777216-pixel limit")]
+
+
+@pytest.mark.parametrize("shape, message", UNWRITABLE_FRAMES)
+def test_encoders_refuse_a_frame_no_decoder_here_takes(shape, message):
+    image = np.broadcast_to(np.uint8(90), (*shape, 3))
+    tables = tables_for_quality(50)
+    with pytest.raises(JpegFormatError, match=message):
+        encode_baseline(image, tables)
+    config = tr.TrainConfig().pipeline
+    with pytest.raises(JpegFormatError, match=message):
+        pl.encode_stream(image, pl.init_pipeline(config), config)
+    if shape[0] == 1:  # small enough to hold as grids
+        blocks = np.zeros((1, -(-shape[1] // 8), 8, 8), dtype=np.int16)
+        grids = tuple(CoefficientGrid(ch, blocks, *shape) for ch in ("Y", "Cb", "Cr"))
+        with pytest.raises(JpegFormatError, match=message):
+            entropy_encode(grids, tables)
 
 
 def test_ppm_roundtrip(natural_image):

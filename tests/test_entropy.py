@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from softjpeg.codec import (
     entropy_encode,
     tables_for_quality,
 )
+from softjpeg.codec import blocks as blocks_module
 from softjpeg.codec.huffman import (
-    _MAGNITUDES,
+    _CATEGORY,
+    _MAGNITUDE,
     DEFAULT_SPECS,
     ZIGZAG,
     BitReader,
@@ -27,6 +30,7 @@ from softjpeg.codec.huffman import (
     extend_magnitude,
 )
 from softjpeg.codec.jfif import MAX_PIXELS
+from tests.reference import encode_scan_per_symbol
 
 # The default tables' {symbol: code} maps, and their {code: symbol} inverses.
 CODES = {key: dict(code_assignment(*spec)) for key, spec in DEFAULT_SPECS.items()}
@@ -71,13 +75,81 @@ def test_encoded_scan_stuffs_every_ff_byte_and_decodes_back():
         assert np.array_equal(a.reshape(12, 64), b)
 
 
+def scan_test_blocks(rng, rows, cols):
+    """Three components' (rows, cols, 8, 8) int16 blocks mixing every case
+    the scan syntax has: all-zero blocks, zero runs of 16 or more (ZRL), a
+    last coefficient at zigzag index 63 (no EOB), AC values of +-1023,
+    dense blocks, and DC values that step by +-2047."""
+    zz = np.zeros((3, rows * cols, 64), dtype=np.int16)
+    for block in zz.reshape(-1, 64):
+        kind = rng.integers(5)
+        if kind == 1:  # sparse: long zero runs
+            at = rng.choice(np.arange(1, 64), rng.integers(1, 4), replace=False)
+            block[at] = rng.choice([-3, -1, 1, 2, 700], at.size)
+        elif kind == 2:  # ends at index 63
+            block[63] = rng.choice([-1, 1, 1023])
+            block[rng.integers(1, 63)] = rng.integers(-5, 6)
+        elif kind == 3:  # extreme AC magnitudes
+            at = rng.choice(np.arange(1, 64), rng.integers(1, 12), replace=False)
+            block[at] = rng.choice([-1023, 1023], at.size)
+        elif kind == 4:  # dense
+            block[1:] = rng.integers(-1023, 1024, 63)
+        block[0] = rng.choice([0, -1023, 1024, rng.integers(-1023, 1025)])
+    natural = np.empty_like(zz)
+    natural[:, :, ZIGZAG] = zz
+    return [b.reshape(rows, cols, 8, 8) for b in natural]
+
+
+@given(
+    st.integers(1, 9),
+    st.integers(1, 9),
+    st.integers(1, 4),
+    st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_encode_scan_matches_the_per_symbol_encoder(rows, cols, band_mcus, seed):
+    # Small bands, so the DC predictor and the bits short of a byte cross
+    # many band edges; 1xN and Nx1 grids are among the shapes.
+    blocks = scan_test_blocks(np.random.default_rng(seed), rows, cols)
+    with mock.patch.object(blocks_module, "BAND_MCUS", band_mcus):
+        scan = encode_scan(blocks, (0, 1, 1))
+    assert scan == encode_scan_per_symbol(blocks, (0, 1, 1))
+
+
+@pytest.mark.parametrize("shape", [(2 * blocks_module.BAND_MCUS + 5, 1),
+                                   (3, blocks_module.BAND_MCUS + 7)])
+def test_encode_scan_matches_the_per_symbol_encoder_across_real_bands(shape):
+    blocks = scan_test_blocks(np.random.default_rng(sum(shape)), *shape)
+    assert encode_scan(blocks, (0, 1, 1)) == encode_scan_per_symbol(blocks, (0, 1, 1))
+
+
+@pytest.mark.parametrize("coefficients, message", [
+    # (component, MCU, natural index, value): two of each set are out of range.
+    ([(2, 0, 5, 1500), (0, 1, 9, -1200)], "AC coefficient 1500"),
+    ([(0, 0, 0, 1100), (0, 1, 0, -1000), (1, 1, 3, 1024)], "DC difference -2100"),
+    ([(1, 2, 2, 1200), (1, 2, 8, -1100)], "AC coefficient -1100"),  # zigzag, not row-major
+    ([(0, 3, 20, -1024), (2, 2, 0, 2000), (2, 3, 0, -100)], "AC coefficient -1024"),
+])
+def test_out_of_range_scan_reports_its_first_offender(coefficients, message):
+    blocks = [np.zeros((2, 2, 8, 8), dtype=np.int16) for _ in range(3)]
+    for comp, mcu, index, value in coefficients:
+        blocks[comp].reshape(4, 64)[mcu, index] = value
+    with pytest.raises(CoefficientRangeError, match=f"{message} is not Huffman-encodable"):
+        encode_scan_per_symbol(blocks, (0, 1, 1))
+    for band_mcus in (1, blocks_module.BAND_MCUS):
+        with mock.patch.object(blocks_module, "BAND_MCUS", band_mcus):
+            with pytest.raises(CoefficientRangeError,
+                               match=f"^{message} is not Huffman-encodable$"):
+                encode_scan(blocks, (0, 1, 1))
+
+
 def test_magnitude_bits_have_their_category_length_and_extend_back():
-    assert sorted(_MAGNITUDES) == list(range(-2047, 2048))
+    assert len(_CATEGORY) == len(_MAGNITUDE) == 4095
     for v in range(-2047, 2048):
-        cat, bits = _MAGNITUDES[v]
+        cat, bits = int(_CATEGORY[v + 2047]), int(_MAGNITUDE[v + 2047])
         assert cat == abs(v).bit_length()  # SSSS, T.81 Table F.1
-        assert len(bits) == cat
-        assert extend_magnitude(int(bits or "0", 2), cat) == v
+        assert 0 <= bits < 1 << cat
+        assert extend_magnitude(bits, cat) == v
 
 
 def test_default_codes_are_prefix_free_and_as_long_as_their_size():
@@ -255,6 +327,14 @@ def test_oversized_ac_rejected():
     blocks[0, 0, 3, 3] = 1024  # needs an AC category beyond the tables
     grids = tuple(CoefficientGrid(ch, blocks.copy(), 8, 8) for ch in ("Y", "Cb", "Cr"))
     with pytest.raises(CoefficientRangeError, match="AC coefficient"):
+        entropy_encode(grids, tables_for_quality(50))
+
+
+def test_real_valued_grids_rejected():
+    # Coded as arrays, 0.7 would silently truncate to 0.
+    blocks = np.full((1, 1, 8, 8), 0.7)
+    grids = tuple(CoefficientGrid(ch, blocks.copy(), 8, 8) for ch in ("Y", "Cb", "Cr"))
+    with pytest.raises(ValueError, match="must hold integers"):
         entropy_encode(grids, tables_for_quality(50))
 
 
