@@ -17,6 +17,7 @@ from .jfif import (
     entropy_encode,
     forward_grids,
     quantize_grids,
+    reconstruct_raster,
     transform_grids,
 )
 from .ppm import PpmFormatError, decode_ppm, encode_ppm, read_ppm, write_ppm
@@ -52,6 +53,7 @@ __all__ = [
     "quantize_blocks",
     "quantize_grids",
     "read_ppm",
+    "reconstruct_raster",
     "rgb_to_ycbcr",
     "round_half_away",
     "tables_for_quality",

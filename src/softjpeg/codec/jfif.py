@@ -372,27 +372,40 @@ def encode_baseline(rgb, tables):
     return entropy_encode(forward_grids(rgb, tables), tables)
 
 
-def decode_baseline(data):
-    """Decode a JFIF stream back to an (H, W, 3) uint8 raster.
+def reconstruct_raster(grids, tables):
+    """The (H, W, 3) uint8 raster that a decoder reconstructs from quantized
+    (Y, Cb, Cr) integer grids and their QuantTablePair.
 
     Sample reconstruction uses the fixed-point arithmetic of the deployed
-    decoders, so output is bit-compatible with them on our streams.  Samples
-    are reconstructed one MCU row at a time into the output raster, so the
-    working set is the int16 coefficients (twice the raster's bytes) plus
-    one row's temporaries.
+    decoders, so output is bit-compatible with them.  Huffman coding is
+    lossless, so for grids ``entropy_encode`` accepts this equals
+    ``decode_baseline(entropy_encode(grids, tables))``.  Samples are
+    reconstructed one band of MCU rows at a time into the output raster,
+    so the working set is the grids plus one band's temporaries.
     """
-    grids, tables, (height, width) = entropy_decode(data)
+    height, width = grids[0].height, grids[0].width
     qtables = [tables.for_channel(grid.channel) for grid in grids]
-    cols = grids[0].blocks.shape[1]
     raster = np.empty((height, width, 3), dtype=np.uint8)
-    for top in range(0, height, 8):
+    for band in mcu_row_bands(*grids[0].blocks.shape[:2]):
+        top = band.start * BLOCK
         planes = []
         for grid, table in zip(grids, qtables):
-            samples = integer_idct_samples(grid.blocks[top // 8], table)
-            plane = samples.transpose(1, 0, 2).reshape(8, cols * 8)
+            samples = integer_idct_samples(grid.blocks[band], table)
+            rows, cols = samples.shape[:2]
+            plane = samples.transpose(0, 2, 1, 3).reshape(rows * BLOCK, cols * BLOCK)
             planes.append(plane[: height - top, :width])
-        raster[top : top + 8] = ycbcr_samples_to_rgb(*planes)
+        raster[top : band.stop * BLOCK] = ycbcr_samples_to_rgb(*planes)
     return raster
+
+
+def decode_baseline(data):
+    """Decode a JFIF stream back to an (H, W, 3) uint8 raster: the
+    coefficients that ``entropy_decode`` reads, through
+    ``reconstruct_raster``.  The working set is the int16 coefficients
+    (twice the raster's bytes) plus one band's temporaries.
+    """
+    grids, tables, _ = entropy_decode(data)
+    return reconstruct_raster(grids, tables)
 
 
 def bits_per_pixel(stream, width, height):

@@ -17,7 +17,7 @@ ALIGNMENT_WEIGHT = 0.01
 
 _MSSSIM_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
 _WINDOW_SIZE = 11
-_MIN_MSSSIM_SIDE = _WINDOW_SIZE * 2 ** (len(_MSSSIM_WEIGHTS) - 1)  # 176
+MIN_MSSSIM_SIDE = _WINDOW_SIZE * 2 ** (len(_MSSSIM_WEIGHTS) - 1)  # 176
 
 
 def _check_same_shape(name, x, y):
@@ -171,9 +171,9 @@ def msssim(x, xhat):
     x = _luma(x)
     y = _luma(xhat)
     _check_same_shape("msssim", x, y)
-    if min(x.shape) < _MIN_MSSSIM_SIDE:
+    if min(x.shape) < MIN_MSSSIM_SIDE:
         raise ValueError(
-            f"msssim needs at least {_MIN_MSSSIM_SIDE}x{_MIN_MSSSIM_SIDE} images "
+            f"msssim needs at least {MIN_MSSSIM_SIDE}x{MIN_MSSSIM_SIDE} images "
             f"(5 dyadic scales of {_WINDOW_SIZE}-tap windows), got {x.shape}"
         )
     value = 1.0

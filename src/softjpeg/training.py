@@ -15,10 +15,11 @@ import numpy as np
 from . import autodiff as ad
 from . import pipeline as pl
 from .autodiff import Tensor
-from .codec import bits_per_pixel, decode_baseline, entropy_encode, quantize_grids, read_ppm
+from .codec import bits_per_pixel, entropy_encode, quantize_grids, read_ppm, reconstruct_raster
 from .codec import tables_for_quality, transform_grids
 from .editor import stem_forward
-from .losses import ALIGNMENT_WEIGHT, loss_terms, msssim, msssim_db, psnr_from_mse, ssim
+from .losses import ALIGNMENT_WEIGHT, MIN_MSSSIM_SIDE, loss_terms, msssim, msssim_db
+from .losses import psnr_from_mse, ssim
 from .losses import mse as mse_metric
 
 
@@ -456,14 +457,15 @@ def load_checkpoint(path):
 
 def _match_baseline_quality(image, target_bpp):
     """Binary-search the quality whose baseline bpp is nearest the target;
-    returns (quality, bpp, stream)."""
+    returns (quality, bpp, quantized grids, tables).  Every probe is
+    entropy-coded, since its bpp is the stream's exact length."""
     h, w = image.shape[:2]
     coefficients = transform_grids(image)  # the same for every probe
 
     def encode(q):
         tables = tables_for_quality(q)
-        stream = entropy_encode(quantize_grids(coefficients, tables), tables)
-        return q, bits_per_pixel(stream, w, h), stream
+        grids = quantize_grids(coefficients, tables)
+        return q, bits_per_pixel(entropy_encode(grids, tables), w, h), grids, tables
 
     lo, hi = encode(1), encode(100)
     if target_bpp <= lo[1]:
@@ -501,6 +503,10 @@ _CSV_ROW = "{image_id},{bpp:.6f},{psnr_db:.6f},{ssim:.6f},{msssim:.6f},{msssim_d
 def evaluate(checkpoint, data_dir, csv_out=None):
     """Neural-pipeline and bpp-matched baseline metrics for every image.
 
+    The baseline row is measured on the raster ``reconstruct_raster`` makes
+    from the matched quality's quantized grids, bit for bit what decoding
+    that quality's stream gives.  An image under ``MIN_MSSSIM_SIDE`` pixels
+    on a side raises ValueError, naming its file, before its forward pass.
     Returns the row dicts (two per image); optionally writes them as CSV in
     the ``CSV_HEADER`` schema.
     """
@@ -509,14 +515,18 @@ def evaluate(checkpoint, data_dir, csv_out=None):
     for path in _list_ppm_files(data_dir):
         name = os.path.splitext(os.path.basename(path))[0]
         image = read_ppm(path)
+        if min(image.shape[:2]) < MIN_MSSSIM_SIDE:
+            height, width = image.shape[:2]
+            raise ValueError(f"{path}: eval needs images of at least {MIN_MSSSIM_SIDE}x"
+                             f"{MIN_MSSSIM_SIDE} pixels for MS-SSIM, got {width}x{height}")
         with ad.no_grad():
             out = pl.forward(image, params, config.pipeline, rounding="hard", measure_rate=True)
         recon = np.clip(np.rint(out.reconstruction.data[0]), 0, 255).astype(np.uint8)
         neural_bpp = out.bpp[0]
         rows.append(_metric_row(f"{name}#neural", neural_bpp, image, recon))
 
-        quality, base_bpp, stream = _match_baseline_quality(image, neural_bpp)
-        decoded = decode_baseline(stream)
+        quality, base_bpp, grids, tables = _match_baseline_quality(image, neural_bpp)
+        decoded = reconstruct_raster(grids, tables)
         rows.append(_metric_row(f"{name}#jpeg-q{quality}", base_bpp, image, decoded))
 
     if csv_out is not None:

@@ -51,8 +51,11 @@ def _build_libjpeg_client(tmp_path_factory, name, missing):
     if done.returncode != 0:
         pytest.skip(f"{missing}: gcc -ljpeg failed: " + done.stderr.strip()[-300:])
 
-    def run(stdin, *args):
-        done = subprocess.run([str(exe), *args], input=stdin, capture_output=True, timeout=60)
+    def run(stdin, *args, env=None):
+        """The client's stdout for ``stdin``; ``env`` adds variables to its
+        environment."""
+        done = subprocess.run([str(exe), *args], input=stdin, capture_output=True, timeout=60,
+                              env=None if env is None else {**os.environ, **env})
         if done.returncode != 0:
             raise ValueError(f"libjpeg rejected the input (exit {done.returncode}): "
                              + done.stderr.decode(errors="replace").strip())
@@ -62,12 +65,20 @@ def _build_libjpeg_client(tmp_path_factory, name, missing):
 
 
 @pytest.fixture(scope="session")
-def stock_decode(tmp_path_factory):
+def libjpeg_decode(tmp_path_factory):
+    """Decode a JFIF stream to an (H, W, 3) raster with the system libjpeg
+    through the ``refdecode.c`` client: ``decode(stream, env=None)``, where
+    ``env`` adds variables to the client's environment."""
+    run = _build_libjpeg_client(tmp_path_factory, "refdecode", "no libjpeg decoder")
+    return lambda stream, env=None: decode_ppm(run(stream, env=env))
+
+
+@pytest.fixture(scope="session")
+def stock_decode(request):
     """Decode a JFIF stream to an (H, W, 3) raster with a stock decoder.
 
-    Pillow when it is installed; otherwise the system libjpeg through the
-    ``refdecode.c`` client.  Tests that use this skip, with the reason, when
-    neither is available.
+    Pillow when it is installed; otherwise ``libjpeg_decode``.  Tests that
+    use this skip, with the reason, when neither is available.
     """
     try:
         from PIL import Image
@@ -80,9 +91,7 @@ def stock_decode(tmp_path_factory):
 
         return pillow_decode
 
-    run = _build_libjpeg_client(tmp_path_factory, "refdecode",
-                                "no stock JPEG decoder (Pillow is missing)")
-    return lambda stream: decode_ppm(run(stream))
+    return request.getfixturevalue("libjpeg_decode")
 
 
 @pytest.fixture(scope="session")

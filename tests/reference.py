@@ -6,7 +6,8 @@ the integer path of ``codec.intdecode`` instead, so only tests use these.
 ``grad_check`` compares ``autodiff`` gradients with central differences.
 ``kwta_stable_argsort`` is the sort-based form of ``autodiff.kwta``.
 ``encode_scan_per_symbol`` is the symbol-at-a-time form of
-``codec.huffman.encode_scan``.
+``codec.huffman.encode_scan``, and ``reconstruct_raster_per_row`` the one
+MCU row at a time form of ``codec.reconstruct_raster``.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from softjpeg.codec.color import RGB_FROM_YCBCR
 from softjpeg.codec.dct import DCT_MATRIX
 from softjpeg.codec.errors import CoefficientRangeError
 from softjpeg.codec.huffman import DEFAULT_SPECS, ZIGZAG, code_assignment, extend_magnitude
+from softjpeg.codec.intdecode import integer_idct_samples, ycbcr_samples_to_rgb
 
 _CHROMA_OFFSET = np.array([0.0, 128.0, 128.0])
 
@@ -138,3 +140,20 @@ def encode_scan_per_symbol(blocks, dests):
     bits += "1" * (-len(bits) % 8)  # pad the last byte with 1-bits
     scan = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
     return scan.replace(b"\xff", b"\xff\x00")
+
+
+def reconstruct_raster_per_row(grids, tables):
+    """``codec.reconstruct_raster`` one MCU row at a time: the integer IDCT
+    and color conversion of each row of blocks, cropped into the raster."""
+    height, width = grids[0].height, grids[0].width
+    cols = grids[0].blocks.shape[1]
+    raster = np.empty((height, width, 3), dtype=np.uint8)
+    for top in range(0, height, BLOCK):
+        planes = []
+        for grid in grids:
+            samples = integer_idct_samples(grid.blocks[top // BLOCK],
+                                           tables.for_channel(grid.channel))
+            plane = samples.transpose(1, 0, 2).reshape(BLOCK, cols * BLOCK)
+            planes.append(plane[: height - top, :width])
+        raster[top : top + BLOCK] = ycbcr_samples_to_rgb(*planes)
+    return raster

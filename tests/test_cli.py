@@ -174,6 +174,18 @@ def test_eval_writes_csv_with_schema_header(trained, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_eval_on_an_image_under_176_px_exits_1_naming_it(trained, tmp_path, capsys):
+    _, ckpt = trained
+    data = tmp_path / "eval-data"
+    data.mkdir()
+    write_ppm(data / "big.ppm", make_natural_image(184, 184, seed=72))
+    write_ppm(data / "small.ppm", make_natural_image(64, 64, seed=73))
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                 "--csv", str(tmp_path / "m.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"{data / 'small.ppm'}: eval needs images of at least 176x176" in err
+
+
 @pytest.mark.parametrize("keep", [3, 100, 0.5])
 def test_truncated_checkpoint_exits_3(trained, tmp_path, capsys, keep):
     _, ckpt = trained

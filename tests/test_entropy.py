@@ -4,17 +4,19 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softjpeg.codec import (
     CoefficientGrid,
     CoefficientRangeError,
     JpegFormatError,
+    QuantTablePair,
     decode_baseline,
     encode_baseline,
     entropy_decode,
     entropy_encode,
+    reconstruct_raster,
     tables_for_quality,
 )
 from softjpeg.codec import blocks as blocks_module
@@ -30,7 +32,7 @@ from softjpeg.codec.huffman import (
     extend_magnitude,
 )
 from softjpeg.codec.jfif import MAX_PIXELS
-from tests.reference import encode_scan_per_symbol
+from tests.reference import encode_scan_per_symbol, reconstruct_raster_per_row
 
 # The default tables' {symbol: code} maps, and their {code: symbol} inverses.
 CODES = {key: dict(code_assignment(*spec)) for key, spec in DEFAULT_SPECS.items()}
@@ -121,6 +123,45 @@ def test_encode_scan_matches_the_per_symbol_encoder(rows, cols, band_mcus, seed)
 def test_encode_scan_matches_the_per_symbol_encoder_across_real_bands(shape):
     blocks = scan_test_blocks(np.random.default_rng(sum(shape)), *shape)
     assert encode_scan(blocks, (0, 1, 1)) == encode_scan_per_symbol(blocks, (0, 1, 1))
+
+
+def reconstruction_case(rng, height, width):
+    """Encodable grids from ``scan_test_blocks`` for a ``height`` x ``width``
+    frame, and random tables in 1..255.  With AC values of +-1023 the
+    dequantized coefficients reach far past what 8-bit images give, so
+    samples wrap in libjpeg's range limit."""
+    blocks = scan_test_blocks(rng, -(-height // 8), -(-width // 8))
+    grids = tuple(CoefficientGrid(channel, b, height, width)
+                  for channel, b in zip(("Y", "Cb", "Cr"), blocks))
+    return grids, QuantTablePair(rng.integers(1, 256, (8, 8)), rng.integers(1, 256, (8, 8)))
+
+
+@given(
+    st.integers(1, 72),
+    st.integers(1, 72),
+    st.integers(1, 4),
+    st.integers(0, 2**31 - 1),
+)
+@example(1, 65, 1, 0)
+@example(65, 1, 2, 1)
+@settings(max_examples=60, deadline=None)
+def test_reconstruct_raster_equals_decoding_the_stream(height, width, band_mcus, seed):
+    # Bands of 1-4 MCUs, so a frame spans many bands and its bottom edge
+    # cuts the last one; 1xN and Nx1 frames are among the sizes.
+    grids, tables = reconstruction_case(np.random.default_rng(seed), height, width)
+    with mock.patch.object(blocks_module, "BAND_MCUS", band_mcus):
+        raster = reconstruct_raster(grids, tables)
+    assert np.array_equal(raster, reconstruct_raster_per_row(grids, tables))
+    assert np.array_equal(raster, decode_baseline(entropy_encode(grids, tables)))
+
+
+@pytest.mark.parametrize("shape", [(8 * (2 * blocks_module.BAND_MCUS + 5) - 3, 5),
+                                   (21, 8 * (blocks_module.BAND_MCUS + 7) - 1)])
+def test_reconstruct_raster_equals_decoding_the_stream_across_real_bands(shape):
+    grids, tables = reconstruction_case(np.random.default_rng(sum(shape)), *shape)
+    raster = reconstruct_raster(grids, tables)
+    assert np.array_equal(raster, reconstruct_raster_per_row(grids, tables))
+    assert np.array_equal(raster, decode_baseline(entropy_encode(grids, tables)))
 
 
 @pytest.mark.parametrize("coefficients, message", [

@@ -2,14 +2,15 @@
 
 Whatever bytes arrive, each parser raises only its typed error, and its
 memory stays within a fixed bound: nothing is allocated from a header the
-data cannot back up.
+data cannot back up.  A JFIF stream the decoder accepts decodes to the
+raster libjpeg gives.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from softjpeg import pipeline as pl
@@ -17,6 +18,7 @@ from softjpeg import training as tr
 from softjpeg.codec import (
     JpegFormatError,
     PpmFormatError,
+    decode_baseline,
     decode_ppm,
     encode_baseline,
     encode_ppm,
@@ -44,6 +46,12 @@ SEEDS = {
     "ppm": encode_ppm(make_natural_image(4, 6, seed=6)),
     "checkpoint": tiny_checkpoint_bytes(),
 }
+# More blocks and longer codes than the jfif seed's 16x16 q50 stream.
+Q90_JFIF = encode_baseline(make_natural_image(24, 40, seed=5), tables_for_quality(90))
+# libjpeg-turbo's SIMD IDCT departs from its C path on coefficients that no
+# 8-bit image gives and a mutated scan or DHT does; the decoder here follows
+# the C path.
+LIBJPEG_C_PATH = {"JSIMD_FORCENONE": "1"}
 TARGETS = {
     "jfif": (entropy_decode, JpegFormatError),
     "ppm": (decode_ppm, PpmFormatError),
@@ -65,6 +73,16 @@ def mutants(draw, seed):
         else:
             del blob[pos]
     return bytes(blob[: draw(st.integers(0, len(blob)))])
+
+
+@st.composite
+def overwrites(draw, seed):
+    """``seed`` with one to three bytes overwritten: its length and markers
+    mostly survive, so many of these decode."""
+    blob = bytearray(seed)
+    for _ in range(draw(st.integers(1, 3))):
+        blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    return bytes(blob)
 
 
 def parse_within_bound(name, blob):
@@ -99,3 +117,31 @@ def test_mutated_input_raises_only_typed_errors_in_bounded_memory(name):
 
     check()
 
+
+@pytest.mark.parametrize("seed", [SEEDS["jfif"], Q90_JFIF], ids=["16x16-q50", "24x40-q90"])
+def test_mutated_jfif_the_decoder_accepts_decodes_as_libjpeg_does(seed, libjpeg_decode):
+    compared = set()
+
+    @given(overwrites(seed))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def check(blob):
+        try:
+            raster = decode_baseline(blob)
+        except JpegFormatError:
+            return
+        try:
+            expected = libjpeg_decode(blob, env=LIBJPEG_C_PATH)
+        except ValueError as exc:
+            # A JFIF major revision other than 1 in APP0 is no corrupt data,
+            # but libjpeg warns of it and the client exits 3 on any warning,
+            # so there is no raster to compare.
+            if "(exit 3)" in str(exc) and "unknown JFIF revision" in str(exc):
+                reject()
+            raise
+        assert np.array_equal(raster, expected)
+        compared.add(blob)
+
+    check()
+    # About a third of the mutants decode; the check says little unless
+    # many distinct ones reached libjpeg.
+    assert len(compared) >= 50

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from softjpeg import LearnedJpeg
 from softjpeg import pipeline as pl
 from softjpeg import training as tr
 from softjpeg.autodiff import Tensor
-from softjpeg.codec import decode_baseline, encode_baseline, tables_for_quality, write_ppm
-from softjpeg.losses import psnr
+from softjpeg.codec import bits_per_pixel, decode_baseline, encode_baseline, tables_for_quality
+from softjpeg.codec import write_ppm
 from softjpeg.training import CSV_HEADER, CheckpointFormatError, LossConfig, load_tensors
 from tests.conftest import make_natural_image
 
@@ -397,6 +398,22 @@ def test_evaluate_baseline_row_matches_direct_measurement(eval_setup):
     baseline = next(r for r in rows if "#jpeg-q" in r["image_id"])
     quality = int(baseline["image_id"].split("#jpeg-q")[1])
     img = make_natural_image(184, 192, seed=54)
-    decoded = decode_baseline(encode_baseline(img, tables_for_quality(quality)))
-    assert baseline["psnr_db"] == psnr(img, decoded)
+    stream = encode_baseline(img, tables_for_quality(quality))
+    # evaluate reconstructs from the matched grids; the row must be the one
+    # measured on the decoded stream, every figure bit for bit.
+    assert baseline == tr._metric_row(baseline["image_id"], bits_per_pixel(stream, 192, 184),
+                                      img, decode_baseline(stream))
+
+
+def test_evaluate_names_an_image_too_small_for_msssim_before_its_forward_pass(eval_setup):
+    ckpt, _, tmp = eval_setup
+    data_dir = tmp / "mixed"
+    data_dir.mkdir()
+    write_ppm(data_dir / "big.ppm", make_natural_image(256, 256, seed=55))
+    write_ppm(data_dir / "small.ppm", make_natural_image(64, 64, seed=56))
+    with mock.patch.object(pl, "forward", wraps=pl.forward) as forward:
+        with pytest.raises(ValueError, match=r"small\.ppm: eval needs images of at least "
+                                             r"176x176 pixels for MS-SSIM, got 64x64"):
+            tr.evaluate(ckpt, data_dir)
+    assert forward.call_count == 1  # big.ppm only
 
