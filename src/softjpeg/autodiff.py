@@ -8,6 +8,8 @@ parent is the operand's node or, for a leaf, the leaf tensor itself.
 Operands that do not require a gradient are never linked, so no term is
 computed for them.  Each VJP captures only the arrays it reads, so a
 forward value lives only while a VJP reads it or a caller holds its tensor.
+Where an array can be rebuilt from one a VJP keeps anyway, it is rebuilt:
+``conv2d`` keeps its input, not its im2col columns.
 ``backward`` owns gradient flow: it sweeps nodes in reverse creation order
 (creation order is a topological order because operands always exist
 before their result), sums each node's terms, hands the sum to its parents
@@ -26,6 +28,7 @@ import contextvars
 import itertools
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .codec.quant import round_half_away
 
@@ -310,10 +313,11 @@ def kwta(a, k):
     if k < 0:
         raise ValueError(f"kwta: k must be nonnegative, got {k}")
     n = a.shape[-1] if a.data.ndim else 1
+    # A bool mask: float times bool is float times 0.0 or 1.0, -0.0 included.
     if k >= n:
-        mask = np.ones_like(a.data)
+        mask = np.ones(a.shape, dtype=bool)
     elif k == 0:
-        mask = np.zeros_like(a.data)
+        mask = np.zeros(a.shape, dtype=bool)
     else:
         mag = np.abs(a.data.reshape(-1, n))
         # Every magnitude above the row's k-th largest survives; entries equal
@@ -322,13 +326,40 @@ def kwta(a, k):
         above, ties = mag > kth, mag == kth
         room = k - np.count_nonzero(above, axis=1, keepdims=True)
         keep = above | (ties & (np.cumsum(ties, axis=1) <= room))
-        mask = keep.astype(np.float64).reshape(a.shape)
+        mask = keep.reshape(a.shape)
 
     return _result(a.data * mask, "kwta", ((a, lambda g: g * mask),))
 
 
+def _im2col(x, kh, kw, stride, padding, Ho, Wo):
+    """The (B, C * kh * kw, Ho * Wo) columns of ``x`` (B, C, H, W), tap by tap
+    in (c, i, j) order and C-contiguous, as the GEMMs need them to give the
+    same bits: one copy, or for a 1x1 stride-1 unpadded kernel a reshape."""
+    B, C = x.shape[:2]
+    if kh == kw == stride == 1 and not padding:
+        return np.ascontiguousarray(x).reshape(B, C, Ho * Wo)
+    # Allocated before the padded copy, which is then freed from above the
+    # columns instead of leaving a hole under them: with the padded copy
+    # first, glibc's heap fragmented and the learned benchmark's peak RSS
+    # rose about 15 MB.
+    cols = np.empty((B, C, kh, kw, Ho, Wo))
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    # windows[b, c, v, u, i, j] is x[b, c, stride * v + i, stride * u + j].
+    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    np.copyto(cols, windows.transpose(0, 1, 4, 5, 2, 3))
+    return cols.reshape(B, C * kh * kw, Ho * Wo)
+
+
 def conv2d(x, w, bias=None, stride=1, padding=0):
-    """2D convolution: x (B, C, H, W) with kernels w (O, C, kh, kw)."""
+    """2D convolution: x (B, C, H, W) with kernels w (O, C, kh, kw).
+
+    The im2col columns feed the forward GEMM and are then dropped.  The
+    kernel gradient rebuilds them from ``x``'s array, which the VJP keeps
+    instead (often one a VJP upstream already holds, such as ``tanh``'s
+    output); the rebuilt columns are the same values in the same layout, so
+    the gradient is bit for bit what keeping them gives.
+    """
     if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeError("conv2d", x.shape, w.shape)
     if bias is not None and bias.shape != (w.shape[0],):
@@ -341,31 +372,24 @@ def conv2d(x, w, bias=None, stride=1, padding=0):
     if Ho <= 0 or Wo <= 0:
         raise ShapeError("conv2d", x.shape, w.shape)
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    # The VJPs read the im2col columns and the kernels, but only the shapes
-    # of the padded input and of w.
-    xp_shape, w_shape = xp.shape, w.shape
-    cols = np.empty((B, C, kh, kw, Ho, Wo))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + s * Ho : s, j : j + s * Wo : s]
-    cols2 = cols.reshape(B, C * kh * kw, Ho * Wo)
+    xd, w_shape = x.data, w.shape
     wf = w.data.reshape(O, C * kh * kw)
-    out = np.matmul(wf, cols2).reshape(B, O, Ho, Wo)
+    out = np.matmul(wf, _im2col(xd, kh, kw, s, p, Ho, Wo)).reshape(B, O, Ho, Wo)
     if bias is not None:
         out = out + bias.data[None, :, None, None]
 
     def vjp_x(g):
         dcols = np.matmul(wf.T, g.reshape(B, O, Ho * Wo)).reshape(B, C, kh, kw, Ho, Wo)
-        dxp = np.zeros(xp_shape)
+        dxp = np.zeros((B, C, H + 2 * p, W + 2 * p))
         for i in range(kh):
             for j in range(kw):
                 dxp[:, :, i : i + s * Ho : s, j : j + s * Wo : s] += dcols[:, :, i, j]
         return dxp[:, :, p : p + H, p : p + W] if p else dxp
 
     def vjp_w(g):
+        cols = _im2col(xd, kh, kw, s, p, Ho, Wo)
         gf = g.reshape(B, O, Ho * Wo)
-        return np.matmul(gf, cols2.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
+        return np.matmul(gf, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
 
     pairs = [(x, vjp_x), (w, vjp_w)]
     if bias is not None:

@@ -168,6 +168,12 @@ def ssim(x, xhat):
 
 def msssim(x, xhat):
     """5-scale multi-scale SSIM on the luma plane, in [0, 1]."""
+    return ssim_and_msssim(x, xhat)[1]
+
+
+def ssim_and_msssim(x, xhat):
+    """``(ssim(x, xhat), msssim(x, xhat))`` from one pass: the single-scale
+    value is the mean of MS-SSIM's level-0 SSIM map."""
     x = _luma(x)
     y = _luma(xhat)
     _check_same_shape("msssim", x, y)
@@ -179,6 +185,8 @@ def msssim(x, xhat):
     value = 1.0
     for level, weight in enumerate(_MSSSIM_WEIGHTS):
         ssim_map, cs_map = _ssim_maps(x, y)
+        if level == 0:
+            single = float(np.mean(ssim_map))
         last = level == len(_MSSSIM_WEIGHTS) - 1
         stat = np.mean(ssim_map if last else cs_map)
         value *= max(stat, 0.0) ** weight
@@ -186,7 +194,7 @@ def msssim(x, xhat):
             h, w = x.shape
             x = x[: h - h % 2, : w - w % 2].reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
             y = y[: h - h % 2, : w - w % 2].reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
-    return float(value)
+    return single, float(value)
 
 
 def msssim_db(value):

@@ -18,8 +18,8 @@ from .autodiff import Tensor
 from .codec import bits_per_pixel, entropy_encode, quantize_grids, read_ppm, reconstruct_raster
 from .codec import tables_for_quality, transform_grids
 from .editor import stem_forward
-from .losses import ALIGNMENT_WEIGHT, MIN_MSSSIM_SIDE, loss_terms, msssim, msssim_db
-from .losses import psnr_from_mse, ssim
+from .losses import ALIGNMENT_WEIGHT, MIN_MSSSIM_SIDE, loss_terms, msssim_db, psnr_from_mse
+from .losses import ssim_and_msssim
 from .losses import mse as mse_metric
 
 
@@ -483,12 +483,12 @@ def _match_baseline_quality(image, target_bpp):
 
 def _metric_row(image_id, bpp, original, decoded):
     err = mse_metric(np.asarray(original, float), np.asarray(decoded, float))
-    ms = msssim(original, decoded)
+    single, ms = ssim_and_msssim(original, decoded)
     return {
         "image_id": image_id,
         "bpp": bpp,
         "psnr_db": psnr_from_mse(err),
-        "ssim": ssim(original, decoded),
+        "ssim": single,
         "msssim": ms,
         "msssim_db": msssim_db(ms),
         "mse": err,
@@ -500,25 +500,35 @@ CSV_HEADER = "image_id,bpp,psnr_db,ssim,msssim,msssim_db,mse"
 _CSV_ROW = "{image_id},{bpp:.6f},{psnr_db:.6f},{ssim:.6f},{msssim:.6f},{msssim_db:.6f},{mse:.6f}"
 
 
+def _read_eval_image(path):
+    """The PPM at ``path``; ValueError, naming it, if MS-SSIM cannot measure it."""
+    image = read_ppm(path)
+    if min(image.shape[:2]) < MIN_MSSSIM_SIDE:
+        height, width = image.shape[:2]
+        raise ValueError(f"{path}: eval needs images of at least {MIN_MSSSIM_SIDE}x"
+                         f"{MIN_MSSSIM_SIDE} pixels for MS-SSIM, got {width}x{height}")
+    return image
+
+
 def evaluate(checkpoint, data_dir, csv_out=None):
     """Neural-pipeline and bpp-matched baseline metrics for every image.
 
     The baseline row is measured on the raster ``reconstruct_raster`` makes
     from the matched quality's quantized grids, bit for bit what decoding
-    that quality's stream gives.  An image under ``MIN_MSSSIM_SIDE`` pixels
-    on a side raises ValueError, naming its file, before its forward pass.
+    that quality's stream gives.  Every image is read and checked before
+    the first forward pass: one under ``MIN_MSSSIM_SIDE`` pixels on a side
+    raises ValueError, naming its file, before any image is evaluated.
     Returns the row dicts (two per image); optionally writes them as CSV in
     the ``CSV_HEADER`` schema.
     """
     params, config = checkpoint.params, checkpoint.config
+    paths = _list_ppm_files(data_dir)
+    for path in paths:
+        _read_eval_image(path)
     rows = []
-    for path in _list_ppm_files(data_dir):
+    for path in paths:
         name = os.path.splitext(os.path.basename(path))[0]
-        image = read_ppm(path)
-        if min(image.shape[:2]) < MIN_MSSSIM_SIDE:
-            height, width = image.shape[:2]
-            raise ValueError(f"{path}: eval needs images of at least {MIN_MSSSIM_SIDE}x"
-                             f"{MIN_MSSSIM_SIDE} pixels for MS-SSIM, got {width}x{height}")
+        image = _read_eval_image(path)
         with ad.no_grad():
             out = pl.forward(image, params, config.pipeline, rounding="hard", measure_rate=True)
         recon = np.clip(np.rint(out.reconstruction.data[0]), 0, 255).astype(np.uint8)

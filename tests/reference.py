@@ -4,7 +4,9 @@ The codec's float inverse path (dequantize, inverse DCT, stitch, YCbCr to
 RGB) is the textbook counterpart of the encoder; the library decodes with
 the integer path of ``codec.intdecode`` instead, so only tests use these.
 ``grad_check`` compares ``autodiff`` gradients with central differences.
-``kwta_stable_argsort`` is the sort-based form of ``autodiff.kwta``.
+``kwta_stable_argsort`` is the sort-based form of ``autodiff.kwta``, and
+``conv2d_keeping_columns`` the form of ``autodiff.conv2d`` whose kernel
+gradient reads im2col columns kept from the forward pass.
 ``encode_scan_per_symbol`` is the symbol-at-a-time form of
 ``codec.huffman.encode_scan``, and ``reconstruct_raster_per_row`` the one
 MCU row at a time form of ``codec.reconstruct_raster``.
@@ -12,6 +14,7 @@ MCU row at a time form of ``codec.reconstruct_raster``.
 
 import numpy as np
 
+from softjpeg import autodiff as ad
 from softjpeg.autodiff import Tensor, backward
 from softjpeg.codec.blocks import BLOCK, LEVEL_SHIFT
 from softjpeg.codec.color import RGB_FROM_YCBCR
@@ -88,6 +91,45 @@ def kwta_stable_argsort(values, k):
     np.put_along_axis(mask, order[:, :k], 1.0, axis=1)
     return values * mask.reshape(values.shape)
 
+
+
+def conv2d_keeping_columns(x, w, bias=None, stride=1, padding=0):
+    """``autodiff.conv2d`` with its im2col columns filled tap by tap and kept
+    for the kernel gradient."""
+    B, C, H, W = x.shape
+    O, _, kh, kw = w.shape
+    s, p = int(stride), int(padding)
+    Ho = (H + 2 * p - kh) // s + 1
+    Wo = (W + 2 * p - kw) // s + 1
+
+    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
+    xp_shape, w_shape = xp.shape, w.shape
+    cols = np.empty((B, C, kh, kw, Ho, Wo))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + s * Ho : s, j : j + s * Wo : s]
+    cols2 = cols.reshape(B, C * kh * kw, Ho * Wo)
+    wf = w.data.reshape(O, C * kh * kw)
+    out = np.matmul(wf, cols2).reshape(B, O, Ho, Wo)
+    if bias is not None:
+        out = out + bias.data[None, :, None, None]
+
+    def vjp_x(g):
+        dcols = np.matmul(wf.T, g.reshape(B, O, Ho * Wo)).reshape(B, C, kh, kw, Ho, Wo)
+        dxp = np.zeros(xp_shape)
+        for i in range(kh):
+            for j in range(kw):
+                dxp[:, :, i : i + s * Ho : s, j : j + s * Wo : s] += dcols[:, :, i, j]
+        return dxp[:, :, p : p + H, p : p + W] if p else dxp
+
+    def vjp_w(g):
+        gf = g.reshape(B, O, Ho * Wo)
+        return np.matmul(gf, cols2.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
+
+    pairs = [(x, vjp_x), (w, vjp_w)]
+    if bias is not None:
+        pairs.append((bias, lambda g: g.sum(axis=(0, 2, 3))))
+    return ad._result(out, "conv2d", pairs)
 
 # Every value a baseline scan codes, -2047..2047, to its (category, magnitude
 # bits) (T.81 F.1.2.1), the inverse of EXTEND: a negative value's bits are the

@@ -14,7 +14,7 @@ from softjpeg import pipeline as pl
 from softjpeg import training as tr
 from softjpeg.autodiff import Tensor
 from softjpeg.codec import round_half_away
-from tests.reference import grad_check, kwta_stable_argsort
+from tests.reference import conv2d_keeping_columns, grad_check, kwta_stable_argsort
 
 
 def leaf(data):
@@ -121,23 +121,43 @@ def test_an_output_no_vjp_reads_is_freed_with_its_tensor():
     assert np.array_equal(x.grad, 2.0 * expected)
 
 
-def test_desk_scale_graph_keeps_only_what_its_vjps_read():
+def _desk_scale_loss():
+    """The desk-scale training graph's parameters and total loss."""
     config = tr.TrainConfig(batch_size=8, patch_size=64, hidden_size=64, kwta_k=32)
     params = pl.init_pipeline(config.pipeline, seed=config.seed)
     batch = np.random.default_rng(10).integers(0, 256, (8, 64, 64, 3)).astype(np.uint8)
+    out = pl.forward(batch, params, config.pipeline, rounding="soft")
+    terms = losses.loss_terms(Tensor(batch.astype(np.float64)), out.reconstruction,
+                              params.tables, out.scores, config.loss)
+    return params, terms["total"]
+
+
+def test_desk_scale_graph_keeps_only_what_its_vjps_read():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out = pl.forward(batch, params, config.pipeline, rounding="soft")
-        terms = losses.loss_terms(Tensor(batch.astype(np.float64)), out.reconstruction,
-                                  params.tables, out.scores, config.loss)
+        params, loss = _desk_scale_loss()
         live = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # Holding every forward value read 72.6 MiB here.
-    assert live < 48 * 2**20, f"live graph {live / 2**20:.1f} MiB"
-    ad.backward(terms["total"])
+    # Holding every forward value read 72.6 MiB here, and keeping conv2d's
+    # im2col columns 40.0 MiB.
+    assert live < 34 * 2**20, f"live graph {live / 2**20:.1f} MiB"
+    ad.backward(loss)
     assert all(t.grad is not None for t in params.named().values())
+
+
+def test_desk_scale_backward_peak_stays_bounded():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, loss = _desk_scale_loss()
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # Keeping conv2d's im2col columns read 52.8 MiB here.
+    assert peak < 48 * 2**20, f"backward peak {peak / 2**20:.1f} MiB"
 
 
 def test_backward_rejects_non_scalar():
@@ -247,6 +267,36 @@ def test_kwta_backward_masks_suppressed_entries():
     x = leaf([[0.1, 0.9, 0.5, 0.3]])
     ad.backward(ad.reduce_mean(ad.kwta(x, 2)))
     assert np.allclose(x.grad * 4, [[0.0, 1.0, 1.0, 0.0]])
+
+
+@st.composite
+def conv_cases(draw):
+    """A conv2d case: x, w and bias arrays plus stride and padding, with odd
+    sizes and, now and then, an input that is a non-contiguous view."""
+    b, c, o = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    k = draw(st.sampled_from((1, 3)))
+    stride, padding = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    h, w = (draw(st.integers(max(1, k - 2 * padding), 9)) for _ in range(2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(b, c, h, w))
+    if draw(st.booleans()):
+        x = np.ascontiguousarray(x.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+    return x, rng.normal(size=(o, c, k, k)), rng.normal(size=(o,)), stride, padding
+
+
+@given(conv_cases())
+@settings(max_examples=200, deadline=None)
+def test_conv2d_matches_the_column_keeping_form_bit_for_bit(case):
+    x, w, bias, stride, padding = case
+    results = []
+    for conv in (ad.conv2d, conv2d_keeping_columns):
+        xt, wt, bt = leaf(x), leaf(w), leaf(bias)
+        out = conv(xt, wt, bt, stride=stride, padding=padding)
+        upstream = Tensor(np.cos(np.arange(out.size, dtype=np.float64)).reshape(out.shape))
+        ad.backward(ad.reduce_mean(ad.hadamard_mul(out, upstream)))
+        results.append((out.data, xt.grad, wt.grad, bt.grad))
+    for name, new, kept in zip(("out", "x", "w", "bias"), *results):
+        assert np.array_equal(new, kept), name
 
 
 # --- grad check over every registered op --------------------------------------

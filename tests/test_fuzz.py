@@ -53,7 +53,7 @@ Q90_JFIF = encode_baseline(make_natural_image(24, 40, seed=5), tables_for_qualit
 # the C path.
 LIBJPEG_C_PATH = {"JSIMD_FORCENONE": "1"}
 TARGETS = {
-    "jfif": (entropy_decode, JpegFormatError),
+    "jfif": (decode_baseline, JpegFormatError),
     "ppm": (decode_ppm, PpmFormatError),
     "checkpoint": (checkpoint_from_bytes, CheckpointFormatError),
 }
@@ -61,7 +61,8 @@ TARGETS = {
 
 @st.composite
 def mutants(draw, seed):
-    """``seed`` with a few bytes overwritten, inserted or deleted, then cut."""
+    """``seed`` with a few bytes overwritten, inserted or deleted, then
+    perhaps cut."""
     blob = bytearray(seed)
     for _ in range(draw(st.integers(0, 6))):
         pos = draw(st.integers(0, len(blob)))
@@ -72,7 +73,9 @@ def mutants(draw, seed):
             blob[pos] = draw(st.integers(0, 255))
         else:
             del blob[pos]
-    return bytes(blob[: draw(st.integers(0, len(blob)))])
+    if draw(st.booleans()):
+        del blob[draw(st.integers(0, len(blob))):]
+    return bytes(blob)
 
 
 @st.composite
@@ -110,7 +113,9 @@ def test_seeds_parse():
 
 @pytest.mark.parametrize("name", sorted(SEEDS))
 def test_mutated_input_raises_only_typed_errors_in_bounded_memory(name):
-    @given(mutants(SEEDS[name]))
+    # Overwrites keep most streams whole: about a quarter of the jfif
+    # examples decode, so the scan and sample paths run under the bound too.
+    @given(st.one_of(mutants(SEEDS[name]), overwrites(SEEDS[name])))
     @settings(derandomize=True, max_examples=300, deadline=None)
     def check(blob):
         assert parse_within_bound(name, blob) < MEMORY_BOUND

@@ -240,3 +240,10 @@ def test_ssim_identical_is_one():
     rng = np.random.default_rng(6)
     img = rng.uniform(0, 255, (32, 48))
     assert abs(losses.ssim(img, img) - 1.0) < 1e-9
+
+
+def test_ssim_and_msssim_equal_the_two_metrics_bit_for_bit(natural_image):
+    rng = np.random.default_rng(8)
+    a = natural_image(184, 200, seed=9)
+    b = np.clip(a.astype(float) + rng.normal(0, 12, a.shape), 0, 255)
+    assert losses.ssim_and_msssim(a, b) == (losses.ssim(a, b), losses.msssim(a, b))

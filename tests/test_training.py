@@ -415,5 +415,5 @@ def test_evaluate_names_an_image_too_small_for_msssim_before_its_forward_pass(ev
         with pytest.raises(ValueError, match=r"small\.ppm: eval needs images of at least "
                                              r"176x176 pixels for MS-SSIM, got 64x64"):
             tr.evaluate(ckpt, data_dir)
-    assert forward.call_count == 1  # big.ppm only
+    assert forward.call_count == 0  # small.ppm is checked before big.ppm is evaluated
 
