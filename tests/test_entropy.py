@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 from unittest import mock
@@ -488,3 +489,67 @@ def test_repeated_frame_component_id_rejected(valid_stream):
     patched[sof + 13] = 1  # the second component takes the first one's id
     with pytest.raises(JpegFormatError, match="SOF0 repeats component id 1"):
         entropy_decode(bytes(patched))
+
+
+def segment(marker, payload):
+    return struct.pack(">BBH", 0xFF, marker, len(payload) + 2) + payload
+
+
+def replace_segment(stream, marker, payload):
+    """``stream`` with its first ``marker`` segment's payload replaced."""
+    at = stream.index(bytes([0xFF, marker]))
+    end = at + 2 + int.from_bytes(stream[at + 2 : at + 4], "big")
+    return stream[:at] + segment(marker, payload) + stream[end:]
+
+
+def payload_of(stream, marker):
+    at = stream.index(bytes([0xFF, marker]))
+    return stream[at + 4 : at + 2 + int.from_bytes(stream[at + 2 : at + 4], "big")]
+
+
+def insert_before(stream, marker, blob):
+    at = stream.index(bytes([0xFF, marker]))
+    return stream[:at] + blob + stream[at:]
+
+
+# Hand edits of a 16x16 q50 stream, one per reader rule, and the message
+# each raises; None marks an edit that must decode to the unedited raster.
+READER_EDITS = {
+    "fill-bytes-before-a-marker": (lambda s: insert_before(s, 0xC0, b"\xff\xff"), None),
+    "fill-bytes-before-eoi": (lambda s: s[:-2] + b"\xff\xff" + s[-2:], None),
+    "eoi-before-any-scan": (lambda s: insert_before(s, 0xC0, b"\xff\xd9"),
+                            "EOI marker before any scan data"),
+    "duplicate-sof0": (lambda s: insert_before(s, 0xC0, segment(0xC0, payload_of(s, 0xC0))),
+                       "duplicate SOF marker"),
+    "sof0-under-6-bytes": (lambda s: replace_segment(s, 0xC0, payload_of(s, 0xC0)[:5]),
+                           "SOF0 segment length mismatch"),
+    "dqt-destination-above-3": (lambda s: replace_segment(s, 0xDB, b"\x04"
+                                                          + payload_of(s, 0xDB)[1:]),
+                                "invalid quantization table destination 4"),
+    "dqt-trailing-bytes": (lambda s: replace_segment(s, 0xDB, payload_of(s, 0xDB) + b"\x00"),
+                           "DQT segment length mismatch"),
+    "dht-trailing-class-byte": (lambda s: replace_segment(s, 0xC4, payload_of(s, 0xC4) + b"\x00"),
+                                "DHT segment length mismatch"),
+    "dht-values-past-segment": (lambda s: replace_segment(
+        s, 0xC4, payload_of(s, 0xC4) + b"\x00" + bytes([0, 1] + [0] * 14)),
+        "DHT segment length mismatch"),
+    "sos-empty": (lambda s: replace_segment(s, 0xDA, b""), "SOS segment length mismatch"),
+    "sos-two-components": (lambda s: replace_segment(s, 0xDA, bytes([2, 1, 0x00, 2, 0x11,
+                                                                     0, 63, 0])),
+                           "SOS must describe a 3-component interleaved scan"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(READER_EDITS))
+def test_stream_reader_rules(edit, natural_image, request):
+    stream = encode_baseline(natural_image(16, 16, seed=1), tables_for_quality(50))
+    patch, message = READER_EDITS[edit]
+    patched = patch(stream)
+    assert patched != stream
+    if message is None:
+        raster = decode_baseline(patched)
+        assert np.array_equal(raster, decode_baseline(stream))
+        assert np.array_equal(raster, request.getfixturevalue("libjpeg_decode")(patched))
+    else:
+        with pytest.raises(JpegFormatError, match=f"^{re.escape(message)}$"):
+            decode_baseline(patched)
