@@ -1,11 +1,12 @@
-"""The entropy-coded segment: default Huffman tables, canonical code
-assignment (ITU-T T.81 Annex C), bit I/O with byte stuffing and the
-baseline scan syntax (Annex F.1.2 / F.2.2).
+"""The entropy-coded segment and its Huffman tables: default tables,
+canonical code assignment (ITU-T T.81 Annex C), DHT parsing with libjpeg's
+table checks, bit I/O with byte stuffing and the baseline scan syntax
+(Annex F.1.2 / F.2.2).
 
-A Huffman code is its '0'/'1' bit string for the stream parser and the
-decoder.  The encoder works on arrays instead: each table's codes and
-lengths indexed by symbol, and whole bands of MCU rows coded and packed
-into bytes at once."""
+A Huffman code is its '0'/'1' bit string for the decoder, whose decode
+tables map code to symbol; only this module builds or reads them.  The
+encoder works on arrays instead: each table's codes and lengths indexed by
+symbol, and whole bands of MCU rows coded and packed into bytes at once."""
 
 import numpy as np
 
@@ -97,6 +98,42 @@ def code_assignment(lengths, values):
             yield next(symbols), format(code, f"0{size}b")
             code += 1
         code <<= 1
+
+
+def parse_dht(payload):
+    """Yield ``((class, destination), decode table)`` for each table of a
+    DHT segment's payload, where a decode table maps each code of
+    ``code_assignment`` to its symbol.  Raises JpegFormatError for what
+    libjpeg refuses in any table (a table past the payload, more than 256
+    values, a class above 1 or a destination above 3) and for an overfull
+    code, which libjpeg refuses in a table a scan uses."""
+    pos = 0
+    while pos < len(payload):
+        cls, dest = payload[pos] >> 4, payload[pos] & 0x0F
+        if cls > 1:
+            raise JpegFormatError(f"invalid Huffman table class {cls}")
+        lengths = payload[pos + 1 : pos + 17]
+        count = sum(lengths)
+        if pos + 17 + count > len(payload):
+            raise JpegFormatError("DHT segment length mismatch")
+        if count > 256:
+            raise JpegFormatError(f"Huffman table holds {count} values, more than 256")
+        if dest > 3:
+            raise JpegFormatError(f"invalid Huffman table destination {dest}")
+        values = payload[pos + 17 : pos + 17 + count]
+        pos += 17 + count
+        yield (cls, dest), {code: symbol for symbol, code in code_assignment(lengths, values)}
+
+
+def scan_tables(tables, dc_dest, ac_dest, channel):
+    """The (DC, AC) decode tables that scan component ``channel`` selects
+    from ``tables``, parse_dht's tables by (class, destination).  libjpeg
+    rejects a DC value above 15 too, but only in a table a scan uses."""
+    if (0, dc_dest) not in tables or (1, ac_dest) not in tables:
+        raise JpegFormatError(f"missing Huffman tables for component {channel}")
+    if max(tables[0, dc_dest].values(), default=0) > 15:
+        raise JpegFormatError(f"DC Huffman table {dc_dest} holds a value above 15")
+    return tables[0, dc_dest], tables[1, ac_dest]
 
 
 def _code_arrays(dest):

@@ -1,4 +1,9 @@
-"""Baseline sequential JFIF bitstream writer and parser (8-bit, 3 components, 4:4:4)."""
+"""Baseline sequential JFIF bitstream writer and reader (8-bit, 3 components, 4:4:4).
+
+The reader is one header loop in ``entropy_decode`` over plain functions:
+``_segment_at`` frames each marker segment, and one function per SOF0, DQT
+and SOS payload returns what it parsed.  Huffman tables are opaque here:
+``codec.huffman`` parses and checks DHT payloads and picks a scan's tables."""
 
 import struct
 
@@ -8,7 +13,7 @@ from .blocks import BLOCK, CoefficientGrid, mcu_row_bands, partition_plane
 from .color import rgb_to_ycbcr
 from .dct import fdct_blocks
 from .errors import CoefficientRangeError, JpegFormatError
-from .huffman import DEFAULT_SPECS, ZIGZAG, code_assignment, decode_scan, encode_scan
+from .huffman import DEFAULT_SPECS, ZIGZAG, decode_scan, encode_scan, parse_dht, scan_tables
 from .intdecode import integer_idct_samples, ycbcr_samples_to_rgb
 from .quant import QuantTablePair, quantize_blocks
 
@@ -121,55 +126,109 @@ def entropy_encode(grids, tables):
     return head + scan + struct.pack(">BB", 0xFF, EOI)
 
 
-class _StreamParser:
-    def __init__(self, data):
-        self.data = data
-        self.pos = 0
-        self.dims = None
-        self.comp_qdest = None
-        self.qtables = {}
-        self.hmaps = {}
-        self.scan_dests = None
+def _segment_at(data, pos):
+    """Frame the marker segment at ``data[pos]``, past any fill bytes:
+    ``(marker, payload, the position after it)``.  EOI and standalone
+    markers have no place before the scan."""
+    if pos + 2 <= len(data) and data[pos] != 0xFF:
+        raise JpegFormatError(f"expected a marker, found byte 0x{data[pos]:02X}")
+    while pos + 2 <= len(data) and data[pos + 1] == 0xFF:  # fill bytes
+        pos += 1
+    if pos + 2 > len(data):
+        raise JpegFormatError("truncated stream inside marker")
+    marker = data[pos + 1]
+    pos += 2
+    if marker == EOI:
+        raise JpegFormatError("EOI marker before any scan data")
+    if marker == 0x01 or 0xD0 <= marker <= 0xD7:
+        raise JpegFormatError(f"unexpected standalone marker 0xFF{marker:02X}")
+    if pos + 2 > len(data):
+        raise JpegFormatError("truncated stream inside segment length")
+    seglen = struct.unpack_from(">H", data, pos)[0]
+    if seglen < 2 or pos + seglen > len(data):
+        raise JpegFormatError(f"segment 0xFF{marker:02X} length mismatch")
+    return marker, data[pos + 2 : pos + seglen], pos + seglen
 
-    def _need(self, n, what):
-        if self.pos + n > len(self.data):
-            raise JpegFormatError(f"truncated stream inside {what}")
 
-    def parse_headers(self):
-        self._need(2, "SOI")
-        if self.data[0:2] != b"\xff\xd8":
-            raise JpegFormatError("missing SOI marker at stream start")
-        self.pos = 2
-        while True:
-            self._need(2, "marker")
-            if self.data[self.pos] != 0xFF:
-                raise JpegFormatError(
-                    f"expected a marker, found byte 0x{self.data[self.pos]:02X}"
-                )
-            marker = self.data[self.pos + 1]
-            while marker == 0xFF:  # fill bytes
-                self.pos += 1
-                self._need(2, "marker")
-                marker = self.data[self.pos + 1]
-            self.pos += 2
-            if marker == EOI:
-                raise JpegFormatError("EOI marker before any scan data")
-            if marker == 0x01 or 0xD0 <= marker <= 0xD7:
-                raise JpegFormatError(f"unexpected standalone marker 0xFF{marker:02X}")
-            self._need(2, "segment length")
-            seglen = struct.unpack_from(">H", self.data, self.pos)[0]
-            if seglen < 2 or self.pos + seglen > len(self.data):
-                raise JpegFormatError(f"segment 0xFF{marker:02X} length mismatch")
-            payload = self.data[self.pos + 2 : self.pos + seglen]
-            self.pos += seglen
-            if marker == SOS:
-                self._parse_sos(payload)
-                return
-            self._dispatch(marker, payload)
+def _parse_sof0(payload):
+    """``((height, width), {component id: quantization destination})``."""
+    if len(payload) < 6:
+        raise JpegFormatError("SOF0 segment length mismatch")
+    precision, height, width, ncomp = struct.unpack_from(">BHHB", payload, 0)
+    if precision != 8:
+        raise JpegFormatError(f"only 8-bit sample precision is supported, got {precision}")
+    if ncomp != 3:
+        raise JpegFormatError(f"only 3-component YCbCr streams are supported, got {ncomp}")
+    check_frame(height, width)
+    if len(payload) != 6 + 3 * ncomp:
+        raise JpegFormatError("SOF0 segment length mismatch")
+    qdest = {}
+    for comp_id, sampling, dest in struct.iter_unpack(">BBB", payload[6:]):
+        if sampling != 0x11:
+            raise JpegFormatError("chroma subsampling is not supported (need 1x1 sampling)")
+        if comp_id in qdest:
+            raise JpegFormatError(f"SOF0 repeats component id {comp_id}")
+        qdest[comp_id] = dest
+    return (height, width), qdest
 
-    def _dispatch(self, marker, payload):
+
+def _parse_dqt(payload):
+    """Yield ``(destination, 8x8 natural-order table)`` per table."""
+    pos = 0
+    while pos < len(payload):
+        if payload[pos] >> 4 != 0:
+            raise JpegFormatError("16-bit quantization tables are not supported")
+        dest = payload[pos] & 0x0F
+        if dest > 3:
+            raise JpegFormatError(f"invalid quantization table destination {dest}")
+        if pos + 65 > len(payload):
+            raise JpegFormatError("DQT segment length mismatch")
+        table = np.zeros(64, dtype=np.int64)
+        table[ZIGZAG] = np.frombuffer(payload, np.uint8, 64, pos + 1)
+        pos += 65
+        if table.min() < 1:
+            raise JpegFormatError("quantization table contains a zero divisor")
+        yield dest, table.reshape(8, 8)
+
+
+def _parse_sos(payload, qdest):
+    """``(quantization, DC, AC destination)`` per scan component, given
+    SOF0's ``{component id: quantization destination}``."""
+    if len(payload) < 1:
+        raise JpegFormatError("SOS segment length mismatch")
+    ncomp = payload[0]
+    if ncomp != 3 or len(payload) != 1 + 2 * ncomp + 3:
+        raise JpegFormatError("SOS must describe a 3-component interleaved scan")
+    ids, tables = list(payload[1:-3:2]), payload[2:-3:2]
+    if ids != list(qdest):  # T.81 B.2.3
+        raise JpegFormatError(f"scan components {ids} are not the frame's "
+                              f"{list(qdest)} in frame order")
+    if tuple(payload[-3:]) != (0, 63, 0):
+        raise JpegFormatError("spectral selection / successive approximation not supported")
+    return [(qdest[i], t >> 4, t & 0x0F) for i, t in zip(ids, tables)]
+
+
+def entropy_decode(data):
+    """Parse a baseline JFIF stream in the subset ``decode_baseline``
+    accepts (see the README), such as any that :func:`entropy_encode` writes.
+
+    Returns ``(grids, tables, (height, width))`` where grids are int16
+    (Y, Cb, Cr) CoefficientGrids in natural block order.
+    """
+    data = bytes(data)
+    if len(data) < 2:
+        raise JpegFormatError("truncated stream inside SOI")
+    if data[:2] != b"\xff\xd8":
+        raise JpegFormatError("missing SOI marker at stream start")
+    pos, frame, qtables, htables = 2, None, {}, {}
+    while True:
+        marker, payload, pos = _segment_at(data, pos)
+        if marker == SOS:
+            break
         if marker == SOF0:
-            self._parse_sof(payload)
+            if frame is not None:
+                raise JpegFormatError("duplicate SOF marker")
+            frame = _parse_sof0(payload)
         elif marker == SOF2:
             raise JpegFormatError("progressive JPEG is not supported")
         elif marker == DAC or 0xC8 <= marker <= 0xCF:
@@ -177,133 +236,33 @@ class _StreamParser:
         elif marker in (0xC1, 0xC3) or 0xC5 <= marker <= 0xC7:
             raise JpegFormatError(f"unsupported frame type 0xFF{marker:02X}")
         elif marker == DQT:
-            self._parse_dqt(payload)
+            qtables.update(_parse_dqt(payload))
         elif marker == DHT:
-            self._parse_dht(payload)
+            htables.update(parse_dht(payload))
         elif marker == DRI:
             raise JpegFormatError("restart intervals are not supported")
-        elif 0xE0 <= marker <= 0xEF or marker == COM:
-            pass  # APPn / comment payloads are ignored
-        else:
+        elif not (0xE0 <= marker <= 0xEF or marker == COM):  # APPn and COM are skipped
             raise JpegFormatError(f"unsupported marker 0xFF{marker:02X}")
+    if frame is None:
+        raise JpegFormatError("SOS marker before SOF0")
+    (height, width), qdest = frame
+    rows, cols = -(-height // 8), -(-width // 8)
 
-    def _parse_sof(self, payload):
-        if self.dims is not None:
-            raise JpegFormatError("duplicate SOF marker")
-        if len(payload) < 6:
-            raise JpegFormatError("SOF0 segment length mismatch")
-        precision, height, width, ncomp = struct.unpack_from(">BHHB", payload, 0)
-        if precision != 8:
-            raise JpegFormatError(f"only 8-bit sample precision is supported, got {precision}")
-        if ncomp != 3:
-            raise JpegFormatError(f"only 3-component YCbCr streams are supported, got {ncomp}")
-        check_frame(height, width)
-        if len(payload) != 6 + 3 * ncomp:
-            raise JpegFormatError("SOF0 segment length mismatch")
-        qdest = {}
-        for i in range(ncomp):
-            comp_id, sampling, dest = struct.unpack_from(">BBB", payload, 6 + 3 * i)
-            if sampling != 0x11:
-                raise JpegFormatError("chroma subsampling is not supported (need 1x1 sampling)")
-            if comp_id in qdest:
-                raise JpegFormatError(f"SOF0 repeats component id {comp_id}")
-            qdest[comp_id] = dest
-        self.dims = (height, width)
-        self.comp_qdest = qdest
-
-    def _parse_dqt(self, payload):
-        pos = 0
-        while pos < len(payload):
-            pqtq = payload[pos]
-            pos += 1
-            if pqtq >> 4 != 0:
-                raise JpegFormatError("16-bit quantization tables are not supported")
-            dest = pqtq & 0x0F
-            if dest > 3:
-                raise JpegFormatError(f"invalid quantization table destination {dest}")
-            if pos + 64 > len(payload):
-                raise JpegFormatError("DQT segment length mismatch")
-            zz = np.frombuffer(payload[pos : pos + 64], dtype=np.uint8).astype(np.int64)
-            pos += 64
-            table = np.zeros(64, dtype=np.int64)
-            table[ZIGZAG] = zz
-            if table.min() < 1:
-                raise JpegFormatError("quantization table contains a zero divisor")
-            self.qtables[dest] = table.reshape(8, 8)
-        if pos != len(payload):
-            raise JpegFormatError("DQT segment length mismatch")
-
-    def _parse_dht(self, payload):
-        pos = 0
-        while pos < len(payload):
-            tcth = payload[pos]
-            pos += 1
-            cls, dest = tcth >> 4, tcth & 0x0F
-            if cls > 1:
-                raise JpegFormatError(f"invalid Huffman table class {cls}")
-            if pos + 16 > len(payload):
-                raise JpegFormatError("DHT segment length mismatch")
-            lengths = payload[pos : pos + 16]
-            pos += 16
-            count = sum(lengths)
-            if pos + count > len(payload):
-                raise JpegFormatError("DHT segment length mismatch")
-            values = payload[pos : pos + count]
-            pos += count
-            self.hmaps[cls, dest] = {code: symbol for symbol, code
-                                     in code_assignment(lengths, values)}
-        if pos != len(payload):
-            raise JpegFormatError("DHT segment length mismatch")
-
-    def _parse_sos(self, payload):
-        if self.dims is None:
-            raise JpegFormatError("SOS marker before SOF0")
-        if len(payload) < 1:
-            raise JpegFormatError("SOS segment length mismatch")
-        ncomp = payload[0]
-        if ncomp != 3 or len(payload) != 1 + 2 * ncomp + 3:
-            raise JpegFormatError("SOS must describe a 3-component interleaved scan")
-        ids, tables = list(payload[1:-3:2]), payload[2:-3:2]
-        if ids != list(self.comp_qdest):  # T.81 B.2.3
-            raise JpegFormatError(f"scan components {ids} are not the frame's "
-                                  f"{list(self.comp_qdest)} in frame order")
-        if tuple(payload[-3:]) != (0, 63, 0):
-            raise JpegFormatError("spectral selection / successive approximation not supported")
-        self.scan_dests = [(self.comp_qdest[i], t >> 4, t & 0x0F) for i, t in zip(ids, tables)]
-
-
-def entropy_decode(data):
-    """Parse a JFIF stream produced by :func:`entropy_encode`.
-
-    Returns ``(grids, tables, (height, width))`` where grids are int16
-    (Y, Cb, Cr) CoefficientGrids in natural block order.
-    """
-    parser = _StreamParser(bytes(data))
-    parser.parse_headers()
-    height, width = parser.dims
-    rows = -(-height // 8)
-    cols = -(-width // 8)
-
-    qtables, maps = [], []
-    for channel, (qdest, dc_dest, ac_dest) in zip(CHANNELS, parser.scan_dests):
-        if qdest not in parser.qtables:
-            raise JpegFormatError(f"missing quantization table {qdest}")
-        if (0, dc_dest) not in parser.hmaps or (1, ac_dest) not in parser.hmaps:
-            raise JpegFormatError(f"missing Huffman tables for component {channel}")
-        # libjpeg rejects a DC value above 15 too, but only in a table a scan uses.
-        if max(parser.hmaps[0, dc_dest].values(), default=0) > 15:
-            raise JpegFormatError(f"DC Huffman table {dc_dest} holds a value above 15")
-        qtables.append(parser.qtables[qdest])
-        maps.append((parser.hmaps[0, dc_dest], parser.hmaps[1, ac_dest]))
-    luma, cb, cr = qtables
+    scan_qtables, maps = [], []
+    for channel, (dest, dc_dest, ac_dest) in zip(CHANNELS, _parse_sos(payload, qdest)):
+        if dest not in qtables:
+            raise JpegFormatError(f"missing quantization table {dest}")
+        scan_qtables.append(qtables[dest])
+        maps.append(scan_tables(htables, dc_dest, ac_dest, channel))
+    luma, cb, cr = scan_qtables
     if not np.array_equal(cb, cr):
         raise JpegFormatError("Cb and Cr must share one quantization table")
-    blocks, pos = decode_scan(parser.data, parser.pos, rows, cols, maps)
+    blocks, pos = decode_scan(data, pos, rows, cols, maps)
 
     # Skip padding and fill bytes, then demand EOI.
-    while pos + 1 < len(parser.data) and parser.data[pos] == 0xFF and parser.data[pos + 1] == 0xFF:
+    while pos + 1 < len(data) and data[pos] == 0xFF and data[pos + 1] == 0xFF:
         pos += 1
-    if pos + 2 > len(parser.data) or parser.data[pos] != 0xFF or parser.data[pos + 1] != EOI:
+    if pos + 2 > len(data) or data[pos] != 0xFF or data[pos + 1] != EOI:
         raise JpegFormatError("missing EOI marker after entropy-coded data")
 
     grids = tuple(CoefficientGrid(channel, b.reshape(rows, cols, 8, 8), height, width)

@@ -553,3 +553,29 @@ def test_stream_reader_rules(edit, natural_image, request):
     else:
         with pytest.raises(JpegFormatError, match=f"^{re.escape(message)}$"):
             decode_baseline(patched)
+
+
+def test_huffman_destination_above_3_rejected_as_by_libjpeg(natural_image, libjpeg_decode):
+    # T.81 B.2.4.2 allows destinations 0-3.  A copy of the Y DC table at
+    # destination 4 is one no scan can select, yet libjpeg stops at it.
+    stream = encode_baseline(natural_image(16, 16, seed=1), tables_for_quality(50))
+    y_dc = b"\x04" + bytes(DEFAULT_SPECS[0, 0][0]) + bytes(DEFAULT_SPECS[0, 0][1])
+    patched = insert_before(stream, 0xDA, segment(0xC4, y_dc))
+    with pytest.raises(ValueError, match="Bogus DHT index 4"):
+        libjpeg_decode(patched)
+    with pytest.raises(JpegFormatError, match="^invalid Huffman table destination 4$"):
+        entropy_decode(patched)
+
+
+def test_huffman_table_of_more_than_256_values_rejected_as_by_libjpeg(natural_image,
+                                                                      libjpeg_decode):
+    # 255 codes of 9 bits and 200 of 10 fit, but a table codes at most 256
+    # symbols; libjpeg's get_dht stops at a larger count.  The table sits at
+    # an AC destination the scan does not use.
+    stream = encode_baseline(natural_image(16, 16, seed=1), tables_for_quality(50))
+    lengths = bytes([0] * 8 + [255, 200] + [0] * 6)
+    patched = insert_before(stream, 0xDA, segment(0xC4, b"\x12" + lengths + bytes(455)))
+    with pytest.raises(ValueError, match="Bogus Huffman table definition"):
+        libjpeg_decode(patched)
+    with pytest.raises(JpegFormatError, match="^Huffman table holds 455 values, more than 256$"):
+        entropy_decode(patched)

@@ -6,11 +6,12 @@ data cannot back up.  A JFIF stream the decoder accepts decodes to the
 raster libjpeg gives.
 """
 
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from softjpeg import pipeline as pl
@@ -123,30 +124,74 @@ def test_mutated_input_raises_only_typed_errors_in_bounded_memory(name):
     check()
 
 
-@pytest.mark.parametrize("seed", [SEEDS["jfif"], Q90_JFIF], ids=["16x16-q50", "24x40-q90"])
+def with_extra_table(seed, tcth, lengths, values):
+    """``seed`` with one more DHT segment, of one table, before its SOS."""
+    payload = bytes([tcth]) + bytes(lengths) + bytes(values)
+    sos = seed.index(b"\xff\xda")
+    return seed[:sos] + struct.pack(">BBH", 0xFF, 0xC4, len(payload) + 2) + payload + seed[sos:]
+
+
+@st.composite
+def extra_tables(draw, seed):
+    """``seed`` with a short random table spliced in before SOS, at a random
+    class and destination: some replace a table the scan uses, some are
+    never used, some are invalid."""
+    tcth = draw(st.integers(0, 2)) << 4 | draw(st.integers(0, 5))
+    lengths = draw(st.lists(st.integers(0, 2), min_size=16, max_size=16))
+    values = draw(st.binary(min_size=sum(lengths), max_size=sum(lengths)))
+    return with_extra_table(seed, tcth, lengths, values)
+
+
+def decodes_as_libjpeg_does(blob, libjpeg_decode, compared):
+    """Unless ``decode_baseline`` refuses ``blob``, libjpeg's C path must
+    decode it to the same raster; a compared ``blob`` joins ``compared``."""
+    try:
+        raster = decode_baseline(blob)
+    except JpegFormatError:
+        return
+    try:
+        expected = libjpeg_decode(blob, env=LIBJPEG_C_PATH)
+    except ValueError as exc:
+        # A JFIF major revision other than 1 in APP0 is no corrupt data,
+        # but libjpeg warns of it and the client exits 3 on any warning,
+        # so there is no raster to compare.
+        if "(exit 3)" in str(exc) and "unknown JFIF revision" in str(exc):
+            reject()
+        raise
+    assert np.array_equal(raster, expected)
+    compared.add(blob)
+
+
+JFIF_SEEDS = pytest.mark.parametrize("seed", [SEEDS["jfif"], Q90_JFIF],
+                                     ids=["16x16-q50", "24x40-q90"])
+
+
+@JFIF_SEEDS
 def test_mutated_jfif_the_decoder_accepts_decodes_as_libjpeg_does(seed, libjpeg_decode):
     compared = set()
 
     @given(overwrites(seed))
     @settings(derandomize=True, max_examples=300, deadline=None)
     def check(blob):
-        try:
-            raster = decode_baseline(blob)
-        except JpegFormatError:
-            return
-        try:
-            expected = libjpeg_decode(blob, env=LIBJPEG_C_PATH)
-        except ValueError as exc:
-            # A JFIF major revision other than 1 in APP0 is no corrupt data,
-            # but libjpeg warns of it and the client exits 3 on any warning,
-            # so there is no raster to compare.
-            if "(exit 3)" in str(exc) and "unknown JFIF revision" in str(exc):
-                reject()
-            raise
-        assert np.array_equal(raster, expected)
-        compared.add(blob)
+        decodes_as_libjpeg_does(blob, libjpeg_decode, compared)
 
     check()
     # About a third of the mutants decode; the check says little unless
     # many distinct ones reached libjpeg.
     assert len(compared) >= 50
+
+
+@JFIF_SEEDS
+def test_jfif_with_an_extra_huffman_table_decodes_as_libjpeg_does(seed, libjpeg_decode):
+    compared = set()
+
+    @given(extra_tables(seed))
+    # 455 values fit the code space, but no table holds more than 256.
+    @example(with_extra_table(seed, 0x12, [0] * 8 + [255, 200] + [0] * 6, bytes(455)))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def check(blob):
+        decodes_as_libjpeg_does(blob, libjpeg_decode, compared)
+
+    check()
+    # About one in eight decodes, most with a table the scan never uses.
+    assert len(compared) >= 30
