@@ -559,7 +559,7 @@ def test_huffman_destination_above_3_rejected_as_by_libjpeg(natural_image, libjp
     # T.81 B.2.4.2 allows destinations 0-3.  A copy of the Y DC table at
     # destination 4 is one no scan can select, yet libjpeg stops at it.
     stream = encode_baseline(natural_image(16, 16, seed=1), tables_for_quality(50))
-    y_dc = b"\x04" + bytes(DEFAULT_SPECS[0, 0][0]) + bytes(DEFAULT_SPECS[0, 0][1])
+    y_dc = b"\x04" + b"".join(DEFAULT_SPECS[0, 0])
     patched = insert_before(stream, 0xDA, segment(0xC4, y_dc))
     with pytest.raises(ValueError, match="Bogus DHT index 4"):
         libjpeg_decode(patched)
