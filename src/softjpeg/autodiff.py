@@ -9,7 +9,9 @@ Operands that do not require a gradient are never linked, so no term is
 computed for them.  Each VJP captures only the arrays it reads, so a
 forward value lives only while a VJP reads it or a caller holds its tensor.
 Where an array can be rebuilt from one a VJP keeps anyway, it is rebuilt:
-``conv2d`` keeps its input, not its im2col columns.
+``conv2d`` keeps its input, not its im2col columns.  ``conv2d`` also works
+one image at a time and makes no padded copy of its input, so its
+temporaries stay one image's columns whatever the batch.
 ``backward`` owns gradient flow: it sweeps nodes in reverse creation order
 (creation order is a topological order because operands always exist
 before their result), sums each node's terms, hands the sum to its parents
@@ -28,7 +30,6 @@ import contextvars
 import itertools
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .codec.quant import round_half_away
 
@@ -331,34 +332,55 @@ def kwta(a, k):
     return _result(a.data * mask, "kwta", ((a, lambda g: g * mask),))
 
 
-def _im2col(x, kh, kw, stride, padding, Ho, Wo):
-    """The (B, C * kh * kw, Ho * Wo) columns of ``x`` (B, C, H, W), tap by tap
-    in (c, i, j) order and C-contiguous, as the GEMMs need them to give the
-    same bits: one copy, or for a 1x1 stride-1 unpadded kernel a reshape."""
-    B, C = x.shape[:2]
+def _tap_spans(n, m, k, stride, padding):
+    """For each tap i of a k-tap kernel along an axis of n input and m output
+    samples: the (output, input) slices over which output v reads input
+    ``stride * v + i - padding`` inside the input, or None for a tap that
+    reads only padding."""
+    spans = []
+    for i in range(k):
+        lo = max(0, -((i - padding) // stride))
+        hi = min(m, (n - 1 + padding - i) // stride + 1)
+        first = stride * lo + i - padding
+        spans.append((slice(lo, hi), slice(first, first + stride * (hi - lo - 1) + 1, stride))
+                     if lo < hi else None)
+    return spans
+
+
+def _image_columns(x, kh, kw, stride, padding, taps, Ho, Wo):
+    """Yield each image's (C * kh * kw, Ho * Wo) im2col columns of ``x``
+    (B, C, H, W), tap by tap in (c, i, j) order and C-contiguous, as the GEMMs
+    need them to give the same bits.  Each image overwrites one buffer, tap
+    by tap over its span in ``taps``, so padding entries stay zero and no
+    padded copy of ``x`` is made; for a 1x1 stride-1 unpadded kernel an
+    image's columns are a reshape of it."""
+    C = x.shape[1]
     if kh == kw == stride == 1 and not padding:
-        return np.ascontiguousarray(x).reshape(B, C, Ho * Wo)
-    # Allocated before the padded copy, which is then freed from above the
-    # columns instead of leaving a hole under them: with the padded copy
-    # first, glibc's heap fragmented and the learned benchmark's peak RSS
-    # rose about 15 MB.
-    cols = np.empty((B, C, kh, kw, Ho, Wo))
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    # windows[b, c, v, u, i, j] is x[b, c, stride * v + i, stride * u + j].
-    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    np.copyto(cols, windows.transpose(0, 1, 4, 5, 2, 3))
-    return cols.reshape(B, C * kh * kw, Ho * Wo)
+        for xb in x:
+            yield np.ascontiguousarray(xb).reshape(C, Ho * Wo)
+        return
+    cols = np.zeros((C, kh, kw, Ho, Wo))
+    for xb in x:
+        for i, j, (vo, vi), (uo, ui) in taps:
+            cols[:, i, j, vo, uo] = xb[:, vi, ui]
+        yield cols.reshape(C * kh * kw, Ho * Wo)
 
 
 def conv2d(x, w, bias=None, stride=1, padding=0):
     """2D convolution: x (B, C, H, W) with kernels w (O, C, kh, kw).
 
-    The im2col columns feed the forward GEMM and are then dropped.  The
-    kernel gradient rebuilds them from ``x``'s array, which the VJP keeps
-    instead (often one a VJP upstream already holds, such as ``tanh``'s
-    output); the rebuilt columns are the same values in the same layout, so
-    the gradient is bit for bit what keeping them gives.
+    It works one image at a time, so its temporaries are one image's im2col
+    columns or their gradient, never the batch's, and it makes no padded
+    copy of ``x``: taps that fall in the padding are left at zero in the
+    columns and skipped in the input gradient.  The forward pass writes each
+    image's GEMM into the output and drops the columns.  The kernel gradient
+    rebuilds them from ``x``'s array, which the VJP keeps instead (often one
+    a VJP upstream already holds, such as ``tanh``'s output), and adds the
+    images' terms in batch order.  Every GEMM is the one a batched
+    ``np.matmul`` issues per image and every sum adds in the same order, so
+    the results are bit for bit those of the whole-batch im2col form (but
+    for a kernel of one weight at batch 8 or more, whose batch sum numpy
+    would add pairwise).
     """
     if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeError("conv2d", x.shape, w.shape)
@@ -374,22 +396,32 @@ def conv2d(x, w, bias=None, stride=1, padding=0):
 
     xd, w_shape = x.data, w.shape
     wf = w.data.reshape(O, C * kh * kw)
-    out = np.matmul(wf, _im2col(xd, kh, kw, s, p, Ho, Wo)).reshape(B, O, Ho, Wo)
+    taps = [(i, j, rows, cols)
+            for i, rows in enumerate(_tap_spans(H, Ho, kh, s, p)) if rows
+            for j, cols in enumerate(_tap_spans(W, Wo, kw, s, p)) if cols]
+    out = np.empty((B, O, Ho, Wo))
+    images = _image_columns(xd, kh, kw, s, p, taps, Ho, Wo)
+    for ob, cols in zip(out.reshape(B, O, Ho * Wo), images):
+        np.matmul(wf, cols, out=ob)
     if bias is not None:
-        out = out + bias.data[None, :, None, None]
+        out += bias.data[:, None, None]
 
     def vjp_x(g):
-        dcols = np.matmul(wf.T, g.reshape(B, O, Ho * Wo)).reshape(B, C, kh, kw, Ho, Wo)
-        dxp = np.zeros((B, C, H + 2 * p, W + 2 * p))
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, :, i : i + s * Ho : s, j : j + s * Wo : s] += dcols[:, :, i, j]
-        return dxp[:, :, p : p + H, p : p + W] if p else dxp
+        dx = np.zeros((B, C, H, W))
+        dcols = np.empty((C * kh * kw, Ho * Wo))
+        dtaps = dcols.reshape(C, kh, kw, Ho, Wo)
+        for dxb, gb in zip(dx, g.reshape(B, O, Ho * Wo)):
+            np.matmul(wf.T, gb, out=dcols)
+            for i, j, (vo, vi), (uo, ui) in taps:
+                dxb[:, vi, ui] += dtaps[:, i, j, vo, uo]
+        return dx
 
     def vjp_w(g):
-        cols = _im2col(xd, kh, kw, s, p, Ho, Wo)
-        gf = g.reshape(B, O, Ho * Wo)
-        return np.matmul(gf, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
+        dw = np.zeros(wf.shape)
+        images = _image_columns(xd, kh, kw, s, p, taps, Ho, Wo)
+        for gb, cols in zip(g.reshape(B, O, Ho * Wo), images):
+            dw += gb @ cols.T
+        return dw.reshape(w_shape)
 
     pairs = [(x, vjp_x), (w, vjp_w)]
     if bias is not None:
