@@ -101,12 +101,10 @@ def code_assignment(lengths, values):
 
 
 def parse_dht(payload):
-    """Yield ``((class, destination), decode table)`` for each table of a
-    DHT segment's payload, where a decode table maps each code of
-    ``code_assignment`` to its symbol.  Raises JpegFormatError for what
-    libjpeg refuses in any table (a table past the payload, more than 256
-    values, a class above 1 or a destination above 3) and for an overfull
-    code, which libjpeg refuses in a table a scan uses."""
+    """Yield ``((class, destination), (lengths, values))`` for each table of
+    a DHT segment's payload.  Raises JpegFormatError for what libjpeg
+    refuses in any table as it reads it: a table past the payload, more than
+    256 values, a class above 1 or a destination above 3."""
     pos = 0
     while pos < len(payload):
         cls, dest = payload[pos] >> 4, payload[pos] & 0x0F
@@ -120,20 +118,26 @@ def parse_dht(payload):
             raise JpegFormatError(f"Huffman table holds {count} values, more than 256")
         if dest > 3:
             raise JpegFormatError(f"invalid Huffman table destination {dest}")
-        values = payload[pos + 17 : pos + 17 + count]
+        yield (cls, dest), (lengths, payload[pos + 17 : pos + 17 + count])
         pos += 17 + count
-        yield (cls, dest), {code: symbol for symbol, code in code_assignment(lengths, values)}
 
 
 def scan_tables(tables, dc_dest, ac_dest, channel):
-    """The (DC, AC) decode tables that scan component ``channel`` selects
-    from ``tables``, parse_dht's tables by (class, destination).  libjpeg
-    rejects a DC value above 15 too, but only in a table a scan uses."""
+    """The (DC, AC) decode tables, each mapping a code of ``code_assignment``
+    to its symbol, that scan component ``channel`` selects from ``tables``,
+    parse_dht's tables by (class, destination).  As libjpeg's
+    ``jpeg_make_d_derived_tbl`` does, only a table a scan uses is checked for
+    an overfull code and, for DC, a value above 15."""
     if (0, dc_dest) not in tables or (1, ac_dest) not in tables:
         raise JpegFormatError(f"missing Huffman tables for component {channel}")
-    if max(tables[0, dc_dest].values(), default=0) > 15:
+    dc = _decode_table(*tables[0, dc_dest])
+    if max(dc.values(), default=0) > 15:
         raise JpegFormatError(f"DC Huffman table {dc_dest} holds a value above 15")
-    return tables[0, dc_dest], tables[1, ac_dest]
+    return dc, _decode_table(*tables[1, ac_dest])
+
+
+def _decode_table(lengths, values):
+    return {code: symbol for symbol, code in code_assignment(lengths, values)}
 
 
 def _code_arrays(dest):
@@ -331,12 +335,10 @@ def _decode_block(reader, prev_dc, dc_map, ac_map):
         rs = reader.decode_symbol(ac_map)
         run, cat = rs >> 4, rs & 0x0F
         if cat == 0:
-            if run == 0:  # EOB
+            if run != 15:  # EOB; libjpeg ends the block at any run but ZRL's
                 break
-            if run == 15:  # ZRL
-                k += 16
-                continue
-            raise JpegFormatError(f"invalid AC symbol 0x{rs:02X}")
+            k += 16  # ZRL
+            continue
         k += run
         if k > 63:
             raise JpegFormatError("AC run-length overflows the block")

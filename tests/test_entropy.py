@@ -579,3 +579,28 @@ def test_huffman_table_of_more_than_256_values_rejected_as_by_libjpeg(natural_im
         libjpeg_decode(patched)
     with pytest.raises(JpegFormatError, match="^Huffman table holds 455 values, more than 256$"):
         entropy_decode(patched)
+
+
+def test_overfull_huffman_table_no_scan_uses_decodes_as_by_libjpeg(natural_image,
+                                                                   libjpeg_decode):
+    # libjpeg checks a code for room only in jpeg_make_d_derived_tbl, for the
+    # tables a scan uses; three 1-bit codes at AC destination 2 go unread.
+    stream = encode_baseline(natural_image(16, 16, seed=1), tables_for_quality(50))
+    overfull = b"\x12" + bytes([3] + [0] * 15) + bytes([1, 2, 3])
+    patched = insert_before(stream, 0xDA, segment(0xC4, overfull))
+    raster = decode_baseline(patched)
+    assert np.array_equal(raster, decode_baseline(stream))
+    assert np.array_equal(raster, libjpeg_decode(patched))
+
+
+def test_ac_symbol_of_size_0_ends_the_block_as_in_libjpeg(natural_image, libjpeg_decode):
+    # T.81 gives size 0 a meaning only at runs 0 (EOB) and 15 (ZRL), but
+    # libjpeg's decode_mcu ends the block at any run but 15.  With 0x50 coded
+    # in place of EOB, every block keeps its coefficients.
+    stream = encode_baseline(natural_image(16, 16, seed=1), tables_for_quality(50))
+    eob = stream.index(b"\xff\xc4") + 4 + 29 + 17 + 3  # the Y AC table's 4th value
+    assert stream[eob] == DEFAULT_SPECS[1, 0][1][3] == 0x00
+    patched = stream[:eob] + b"\x50" + stream[eob + 1 :]
+    raster = decode_baseline(patched)
+    assert np.array_equal(raster, decode_baseline(stream))
+    assert np.array_equal(raster, libjpeg_decode(patched))
