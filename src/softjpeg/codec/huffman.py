@@ -154,12 +154,16 @@ def _code_arrays(dest):
 # other tables.
 _ENCODE_TABLES = {dest: _code_arrays(dest) for dest in (0, 1)}
 _AC, _ZRL, _EOB = 256, 256 + 0xF0, 256 + 0x00
+# The largest magnitudes a baseline scan codes (T.81 F.1.2): a DC difference
+# of SSSS 11 and an AC coefficient of SSSS 10.
+DC_PEAK, AC_PEAK = 2047, 1023
 # SSSS (T.81 Table F.1) and magnitude bits (F.1.2.1) of every value a
-# baseline scan codes, -2047..2047, at index value + 2047: a negative
-# value's bits are the one's complement of its absolute value's.
-_CATEGORY = np.array([abs(v).bit_length() for v in range(-2047, 2048)], dtype=np.int64)
-_MAGNITUDE = np.array([(v - (v < 0)) & (1 << abs(v).bit_length()) - 1
-                       for v in range(-2047, 2048)], dtype=np.int64)
+# baseline scan codes, -DC_PEAK..DC_PEAK, at index value + DC_PEAK: a
+# negative value's bits are the one's complement of its absolute value's.
+_CODED = range(-DC_PEAK, DC_PEAK + 1)
+_CATEGORY = np.array([abs(v).bit_length() for v in _CODED], dtype=np.int64)
+_MAGNITUDE = np.array([(v - (v < 0)) & (1 << abs(v).bit_length()) - 1 for v in _CODED],
+                      dtype=np.int64)
 
 
 def extend_magnitude(bits, category):
@@ -233,15 +237,15 @@ def _scan_words(zz, dc_diffs, codes, lengths):
     dc_at = np.flatnonzero(k == 0)
     value = zz.reshape(-1)[at].astype(np.int64)
     value[dc_at] = dc_diffs
-    if value.min() < -1023 or value.max() > 1023:
-        peak = np.full(value.shape, 1023)
-        peak[dc_at] = 2047
+    if value.min() < -AC_PEAK or value.max() > AC_PEAK:
+        peak = np.full(value.shape, AC_PEAK)
+        peak[dc_at] = DC_PEAK
         bad = np.abs(value) > peak
         if bad.any():
             first = int(np.argmax(bad))  # in scan order
             what = "DC difference" if k[first] == 0 else "AC coefficient"
             raise CoefficientRangeError(f"{what} {value[first]} is not Huffman-encodable")
-    value += 2047
+    value += DC_PEAK
     cat = _CATEGORY[value]
     run = np.diff(k, prepend=0) - 1  # zeros since the block's last coded one
     # Each code's flat index in ``codes``: its component's row, then symbol.
@@ -340,8 +344,8 @@ def _decode_block(reader, prev_dc, dc_map, ac_map):
             k += 16  # ZRL
             continue
         k += run
-        if k > 63:
-            raise JpegFormatError("AC run-length overflows the block")
+        if k > 63:  # libjpeg's natural order maps indexes 64-79 to 63
+            k = 63
         zz[k] = extend_magnitude(reader.read_bits(cat), cat)
         k += 1
     return zz, dc

@@ -21,24 +21,16 @@ COEFF_INPUT_SCALE = 1.0 / 1024.0  # dequantized coefficients to roughly [-1, 1]
 
 
 class NamedParams:
-    """Base of the parameter dataclasses: their Tensor fields, in declaration
-    order, under the names ``<PREFIX>.<field>`` that checkpoints store."""
+    """Base of the parameter dataclasses: names their Tensor fields, in
+    declaration order, as ``<PREFIX>.<field>``, the names checkpoints store.
+    Only the init functions build parameters; a checkpoint loads into the
+    tensors they build."""
 
     PREFIX = ""
 
-    @classmethod
-    def _tensor_fields(cls):
-        return [f.name for f in fields(cls) if f.type is Tensor]
-
     def named(self):
-        return {f"{self.PREFIX}.{name}": getattr(self, name) for name in self._tensor_fields()}
-
-    @classmethod
-    def from_named(cls, named, **extra):
-        """Rebuild from a {name: array} mapping, e.g. a loaded checkpoint."""
-        tensors = {name: Tensor(named[f"{cls.PREFIX}.{name}"], requires_grad=True)
-                   for name in cls._tensor_fields()}
-        return cls(**tensors, **extra)
+        return {f"{self.PREFIX}.{f.name}": getattr(self, f.name)
+                for f in fields(self) if f.type is Tensor}
 
 
 @dataclass

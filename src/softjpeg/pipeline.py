@@ -23,6 +23,7 @@ from .codec import CoefficientGrid, QuantTablePair, entropy_encode
 from .codec.blocks import partition_plane
 from .codec.color import RGB_FROM_YCBCR, rgb_to_ycbcr
 from .codec.dct import FDCT_FLAT, IDCT_FLAT
+from .codec.huffman import AC_PEAK
 from .codec.jfif import CHANNELS, bits_per_pixel, check_frame
 from .codec.quant import round_half_away
 from .editor import (
@@ -34,10 +35,6 @@ from .editor import (
     init_refiner,
     init_stem,
 )
-
-# Hard-rounded coefficients are clipped to the range the default Huffman
-# tables can represent before they reach the entropy coder.
-CODEABLE_PEAK = 1023
 
 # Inverse BT.601 rows: channel = wy*Y + wcb*(Cb-128) + wcr*(Cr-128).
 _COLOR_ROWS = {name: RGB_FROM_YCBCR[i] for i, name in enumerate(("R", "G", "B"))}
@@ -109,12 +106,6 @@ def init_pipeline(config, seed=0):
         refiner=init_refiner(rng, config.hidden_size),
         tables=init_tables(config.table_scale, rng),
     )
-
-
-def params_from_named(named, config):
-    """Rebuild PipelineParams from a named-tensor mapping (checkpoint load)."""
-    return PipelineParams(StemParams.from_named(named), RefinerParams.from_named(named),
-                          LearnableTables.from_named(named, scale=config.table_scale))
 
 
 def export_tables(tables):
@@ -224,8 +215,9 @@ def decode_rows(quantized, params, config, geometry, out_height, out_width):
 def hard_grids(quantized, geometry, height, width):
     """Per-image integer CoefficientGrids from quantized row tensors.
 
-    Values are hard-rounded and clipped to the Huffman-codable peak so the
-    entropy coder always accepts them.
+    Values are hard-rounded and clipped to the Huffman-codable AC peak, so
+    the entropy coder always accepts them: two DC values so clipped differ
+    by less than the DC peak.
     """
     b, rows, cols = geometry
     per_image = []
@@ -233,7 +225,7 @@ def hard_grids(quantized, geometry, height, width):
         grids = []
         for channel in CHANNELS:
             data = quantized[channel].data[i * rows * cols : (i + 1) * rows * cols]
-            ints = np.clip(round_half_away(data), -CODEABLE_PEAK, CODEABLE_PEAK).astype(np.int64)
+            ints = np.clip(round_half_away(data), -AC_PEAK, AC_PEAK).astype(np.int64)
             grids.append(CoefficientGrid(channel, ints.reshape(rows, cols, 8, 8), height, width))
         per_image.append(tuple(grids))
     return per_image

@@ -421,12 +421,13 @@ def checkpoint_from_bytes(blob):
         if config.hidden_size ** 2 > sum(value.size for value in named.values()):
             raise CheckpointFormatError(f"hidden_size {config.hidden_size} does not fit "
                                         "the stored tensors")
-        for name, t in pl.init_pipeline(config.pipeline).named().items():
+        params = pl.init_pipeline(config.pipeline)
+        for name, t in params.named().items():
             for key in (name, *(f"adam.{moment}.{name}" for moment in _MOMENTS)):
                 if named[key].shape != t.shape:
                     raise CheckpointFormatError(f"tensor {key!r} has shape {named[key].shape}, "
                                                 f"expected {t.shape}")
-        params = pl.params_from_named(named, config.pipeline)
+            t.data = named[name]
         moments = {moment: {n: named[f"adam.{moment}.{n}"] for n in params.named()}
                    for moment in _MOMENTS}
         adam = _config_from_dict(AdamState, {**moments, **{name: trailer["adam"][name]

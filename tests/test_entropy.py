@@ -256,22 +256,28 @@ def test_bitreader_holds_one_byte_after_every_pull(natural_image, monkeypatch):
     assert max(accumulators) < 256
 
 
-def dc_climb_stream(mcus):
-    """An 8 x 8*mcus stream whose every Y block codes the largest DC
-    difference, +2047, so the Y predictor reaches 2047 * mcus; Cb and Cr
-    stay 0.  No encoder writes it: from the second MCU on, the DC exceeds
-    12 bits."""
+def hand_coded_stream(mcus, bits):
+    """A q50 stream of an 8 x 8*mcus frame whose scan is the '0'/'1' string
+    ``bits``."""
     zeros = np.zeros((1, mcus, 8, 8), dtype=np.int64)
     grids = tuple(CoefficientGrid(ch, zeros, 8, 8 * mcus) for ch in ("Y", "Cb", "Cr"))
     stream = entropy_encode(grids, tables_for_quality(50))
     sos = stream.index(b"\xff\xda")
     head = stream[: sos + 2 + int.from_bytes(stream[sos + 2 : sos + 4], "big")]
+    return head + scan_bytes(bits) + b"\xff\xd9"
+
+
+def dc_climb_stream(mcus):
+    """An 8 x 8*mcus stream whose every Y block codes the largest DC
+    difference, +2047, so the Y predictor reaches 2047 * mcus; Cb and Cr
+    stay 0.  No encoder writes it: from the second MCU on, the DC exceeds
+    12 bits."""
     bits = ""
     for _ in range(mcus):
         for dest, cat in ((0, 11), (1, 0), (1, 0)):
             # The DC code, its magnitude bits (+2047, or none) and EOB.
             bits += CODES[0, dest][cat] + "1" * cat + CODES[1, dest][0x00]
-    return head + scan_bytes(bits) + b"\xff\xd9"
+    return hand_coded_stream(mcus, bits)
 
 
 def test_dc_predictor_at_the_int16_limit_decodes():
@@ -604,3 +610,19 @@ def test_ac_symbol_of_size_0_ends_the_block_as_in_libjpeg(natural_image, libjpeg
     raster = decode_baseline(patched)
     assert np.array_equal(raster, decode_baseline(stream))
     assert np.array_equal(raster, libjpeg_decode(patched))
+
+
+def test_ac_run_past_coefficient_63_lands_on_it_as_in_libjpeg(libjpeg_decode):
+    # After three ZRLs the next coefficient is the 49th; a run of 15 puts it
+    # past the block.  libjpeg's natural-order table maps indexes 64-79 to
+    # 63, so the value, +1, is stored at coefficient 63.
+    y = CODES[0, 0][0] + CODES[1, 0][0xF0] * 3 + CODES[1, 0][0xF1] + "1"
+    chroma = CODES[0, 1][0] + CODES[1, 1][0x00]
+    stream = hand_coded_stream(1, y + chroma * 2)
+    grids, _, _ = entropy_decode(stream)
+    expected = np.zeros((1, 1, 8, 8), dtype=np.int16)
+    expected[0, 0, 7, 7] = 1
+    assert np.array_equal(grids[0].blocks, expected)
+    assert not grids[1].blocks.any() and not grids[2].blocks.any()
+    assert np.array_equal(decode_baseline(stream),
+                          libjpeg_decode(stream, env={"JSIMD_FORCENONE": "1"}))

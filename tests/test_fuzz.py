@@ -36,8 +36,9 @@ def tiny_checkpoint_bytes():
     """A checkpoint container and trailer whose tensors all hold one value: a
     few KB that parse up to the shape check, which rejects them."""
     cfg = tr.TrainConfig(hidden_size=16)
-    names = pl.init_pipeline(cfg.pipeline).named()
-    params = pl.params_from_named({name: np.ones(1) for name in names}, cfg.pipeline)
+    params = pl.init_pipeline(cfg.pipeline)
+    for t in params.named().values():
+        t.data = np.ones(1)
     adam = tr.init_adam(params.named())
     return tr.checkpoint_bytes(tr.TrainingCheckpoint(params, adam, cfg))
 

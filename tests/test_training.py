@@ -243,6 +243,16 @@ def test_checkpoint_tensor_of_wrong_shape_raises_checkpoint_format_error(init_ch
         tr.checkpoint_from_bytes(tr.save_tensors(named) + init_checkpoint[end:])
 
 
+@pytest.mark.parametrize("name", ["stem.w1", "qtables.chroma", "adam.m.smrnn.Vf",
+                                  "adam.v.qtables.luma"])
+def test_checkpoint_missing_a_tensor_raises_checkpoint_format_error(init_checkpoint, name):
+    named, end = load_tensors(init_checkpoint)
+    del named[name]
+    message = rf"^malformed checkpoint: KeyError\('{name}'\)$"
+    with pytest.raises(CheckpointFormatError, match=message):
+        tr.checkpoint_from_bytes(tr.save_tensors(named) + init_checkpoint[end:])
+
+
 def test_checkpoint_hidden_size_beyond_its_tensors_rejected_before_allocating(init_checkpoint):
     # At hidden_size 4096 the refiner alone would take 2 x 128 MB.
     end = load_tensors(init_checkpoint)[1]
