@@ -10,8 +10,10 @@ computed for them.  Each VJP captures only the arrays it reads, so a
 forward value lives only while a VJP reads it or a caller holds its tensor.
 Where an array can be rebuilt from one a VJP keeps anyway, it is rebuilt:
 ``conv2d`` keeps its input, not its im2col columns.  ``conv2d`` also works
-one image at a time and makes no padded copy of its input, so its
-temporaries stay one image's columns whatever the batch.
+one image at a time and makes no padded copy of its input, and its forward
+pass builds an image's columns one band of output rows at a time, so its
+forward temporaries stay one band's columns (``BAND_BYTES``) whatever the
+batch or the image size.
 ``backward`` owns gradient flow: it sweeps nodes in reverse creation order
 (creation order is a topological order because operands always exist
 before their result), sums each node's terms, hands the sum to its parents
@@ -36,6 +38,10 @@ from .codec.quant import round_half_away
 _COUNTER = itertools.count()
 # Per thread, unlike a module flag: no_grad in one leaves another's training taped.
 _TAPING = contextvars.ContextVar("softjpeg_autodiff_taping", default=True)
+# The bytes of im2col columns conv2d's forward pass builds at once: it fills
+# and multiplies each image's columns this many bytes' worth of output rows
+# at a time.
+BAND_BYTES = 1 << 20
 
 
 class ShapeError(ValueError):
@@ -332,55 +338,77 @@ def kwta(a, k):
     return _result(a.data * mask, "kwta", ((a, lambda g: g * mask),))
 
 
-def _tap_spans(n, m, k, stride, padding):
-    """For each tap i of a k-tap kernel along an axis of n input and m output
-    samples: the (output, input) slices over which output v reads input
-    ``stride * v + i - padding`` inside the input, or None for a tap that
-    reads only padding."""
+def _tap_spans(n, lo, hi, k, stride, padding):
+    """For each tap i of a k-tap kernel along an axis of n input samples: the
+    (output, input) slices over which output v, for v in lo..hi-1, reads
+    input ``stride * v + i - padding`` inside the input, the output slice
+    counted from ``lo``, or None for a tap that reads only padding there."""
     spans = []
     for i in range(k):
-        lo = max(0, -((i - padding) // stride))
-        hi = min(m, (n - 1 + padding - i) // stride + 1)
-        first = stride * lo + i - padding
-        spans.append((slice(lo, hi), slice(first, first + stride * (hi - lo - 1) + 1, stride))
-                     if lo < hi else None)
+        first_v = max(lo, -((i - padding) // stride))
+        stop_v = min(hi, (n - 1 + padding - i) // stride + 1)
+        first = stride * first_v + i - padding
+        spans.append((slice(first_v - lo, stop_v - lo),
+                      slice(first, first + stride * (stop_v - first_v - 1) + 1, stride))
+                     if first_v < stop_v else None)
     return spans
 
 
-def _image_columns(x, kh, kw, stride, padding, taps, Ho, Wo):
-    """Yield each image's (C * kh * kw, Ho * Wo) im2col columns of ``x``
-    (B, C, H, W), tap by tap in (c, i, j) order and C-contiguous, as the GEMMs
-    need them to give the same bits.  Each image overwrites one buffer, tap
-    by tap over its span in ``taps``, so padding entries stay zero and no
-    padded copy of ``x`` is made; for a 1x1 stride-1 unpadded kernel an
-    image's columns are a reshape of it."""
-    C = x.shape[1]
+def _taps(H, W, kh, kw, stride, padding, rows, Wo):
+    """(i, j, row spans, column spans) of every tap that reads inside an
+    (H, W) input at the output rows ``rows`` (a range), all Wo columns."""
+    return [(i, j, vs, us)
+            for i, vs in enumerate(_tap_spans(H, rows.start, rows.stop, kh, stride, padding)) if vs
+            for j, us in enumerate(_tap_spans(W, 0, Wo, kw, stride, padding)) if us]
+
+
+def _image_columns(x, kh, kw, stride, padding, Ho, Wo, band):
+    """Yield (image index, output slice, columns) for each image of ``x``
+    (B, C, H, W) and each band of ``band`` output rows: the band's
+    (C * kh * kw, rows * Wo) im2col columns, C-contiguous in (c, i, j) order
+    as the GEMMs need them for the same bits, and the slice of the image's
+    flattened output they make.  One zeroed buffer serves every band, which
+    fills its taps' spans clipped to its rows, so padding entries stay zero
+    (with several bands, it clears the buffer first) and no padded copy of
+    ``x`` is made.  A 1x1 stride-1 unpadded kernel's columns are a reshape
+    of the image, in one band."""
+    C, H, W = x.shape[1:]
     if kh == kw == stride == 1 and not padding:
-        for xb in x:
-            yield np.ascontiguousarray(xb).reshape(C, Ho * Wo)
+        for b, xb in enumerate(x):
+            yield b, slice(0, Ho * Wo), np.ascontiguousarray(xb).reshape(C, Ho * Wo)
         return
-    cols = np.zeros((C, kh, kw, Ho, Wo))
-    for xb in x:
-        for i, j, (vo, vi), (uo, ui) in taps:
-            cols[:, i, j, vo, uo] = xb[:, vi, ui]
-        yield cols.reshape(C * kh * kw, Ho * Wo)
+    band = min(band, Ho)
+    buf = np.zeros(C * kh * kw * band * Wo)
+    for b, xb in enumerate(x):
+        for r0 in range(0, Ho, band):
+            rows = range(r0, min(Ho, r0 + band))
+            cols = buf[: C * kh * kw * len(rows) * Wo].reshape(C, kh, kw, len(rows), Wo)
+            if band < Ho:
+                cols.fill(0.0)
+            for i, j, (vo, vi), (uo, ui) in _taps(H, W, kh, kw, stride, padding, rows, Wo):
+                cols[:, i, j, vo, uo] = xb[:, vi, ui]
+            yield b, slice(rows.start * Wo, rows.stop * Wo), cols.reshape(-1, len(rows) * Wo)
 
 
 def conv2d(x, w, bias=None, stride=1, padding=0):
     """2D convolution: x (B, C, H, W) with kernels w (O, C, kh, kw).
 
-    It works one image at a time, so its temporaries are one image's im2col
-    columns or their gradient, never the batch's, and it makes no padded
-    copy of ``x``: taps that fall in the padding are left at zero in the
-    columns and skipped in the input gradient.  The forward pass writes each
-    image's GEMM into the output and drops the columns.  The kernel gradient
-    rebuilds them from ``x``'s array, which the VJP keeps instead (often one
-    a VJP upstream already holds, such as ``tanh``'s output), and adds the
-    images' terms in batch order.  Every GEMM is the one a batched
-    ``np.matmul`` issues per image and every sum adds in the same order, so
-    the results are bit for bit those of the whole-batch im2col form (but
-    for a kernel of one weight at batch 8 or more, whose batch sum numpy
-    would add pairwise).
+    It works one image at a time and makes no padded copy of ``x``: taps
+    that fall in the padding are left at zero in the columns and skipped in
+    the input gradient.  The forward pass builds an image's im2col columns
+    one band of output rows at a time, ``BAND_BYTES`` of them at most (one
+    row at least), and writes each band's GEMM into those rows of the
+    output.  The kernel gradient rebuilds one image's columns at a time from
+    ``x``'s array, which the VJP keeps instead (often one a VJP upstream
+    already holds, such as ``tanh``'s output), and adds the images' terms in
+    batch order.  Where an image's columns fit one band (every layer at desk
+    scale), every GEMM is the one a batched ``np.matmul`` issues per image
+    and every sum adds in the same order, so the results are bit for bit
+    those of the whole-batch im2col form (but for a kernel of one weight at
+    batch 8 or more, whose batch sum numpy would add pairwise).  Across
+    bands, OpenBLAS can round a narrower GEMM's outputs differently (its
+    small-matrix and edge kernels), so the output may move in the last bits,
+    though not on half-Kodak or Kodak-size stems; the gradients never do.
     """
     if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeError("conv2d", x.shape, w.shape)
@@ -396,13 +424,12 @@ def conv2d(x, w, bias=None, stride=1, padding=0):
 
     xd, w_shape = x.data, w.shape
     wf = w.data.reshape(O, C * kh * kw)
-    taps = [(i, j, rows, cols)
-            for i, rows in enumerate(_tap_spans(H, Ho, kh, s, p)) if rows
-            for j, cols in enumerate(_tap_spans(W, Wo, kw, s, p)) if cols]
+    taps = _taps(H, W, kh, kw, s, p, range(Ho), Wo)
     out = np.empty((B, O, Ho, Wo))
-    images = _image_columns(xd, kh, kw, s, p, taps, Ho, Wo)
-    for ob, cols in zip(out.reshape(B, O, Ho * Wo), images):
-        np.matmul(wf, cols, out=ob)
+    flat = out.reshape(B, O, Ho * Wo)
+    band = max(1, BAND_BYTES // (wf.shape[1] * Wo * 8))
+    for b, span, cols in _image_columns(xd, kh, kw, s, p, Ho, Wo, band):
+        np.matmul(wf, cols, out=flat[b, :, span])
     if bias is not None:
         out += bias.data[:, None, None]
 
@@ -418,9 +445,9 @@ def conv2d(x, w, bias=None, stride=1, padding=0):
 
     def vjp_w(g):
         dw = np.zeros(wf.shape)
-        images = _image_columns(xd, kh, kw, s, p, taps, Ho, Wo)
-        for gb, cols in zip(g.reshape(B, O, Ho * Wo), images):
-            dw += gb @ cols.T
+        gf = g.reshape(B, O, Ho * Wo)
+        for b, _, cols in _image_columns(xd, kh, kw, s, p, Ho, Wo, Ho):
+            dw += gf[b] @ cols.T
         return dw.reshape(w_shape)
 
     pairs = [(x, vjp_x), (w, vjp_w)]

@@ -16,7 +16,8 @@ from . import autodiff as ad
 from . import pipeline as pl
 from .autodiff import Tensor
 from .codec import bits_per_pixel, entropy_encode, quantize_grids, read_ppm, reconstruct_raster
-from .codec import tables_for_quality, transform_grids
+from .codec import JpegFormatError, tables_for_quality, transform_grids
+from .codec.jfif import check_frame
 from .editor import stem_forward
 from .losses import ALIGNMENT_WEIGHT, MIN_MSSSIM_SIDE, loss_terms, msssim_db, psnr_from_mse
 from .losses import ssim_and_msssim
@@ -502,12 +503,17 @@ _CSV_ROW = "{image_id},{bpp:.6f},{psnr_db:.6f},{ssim:.6f},{msssim:.6f},{msssim_d
 
 
 def _read_eval_image(path):
-    """The PPM at ``path``; ValueError, naming it, if MS-SSIM cannot measure it."""
+    """The PPM at ``path``; ValueError if MS-SSIM cannot measure it and
+    JpegFormatError if ``check_frame`` refuses its frame, each naming it."""
     image = read_ppm(path)
-    if min(image.shape[:2]) < MIN_MSSSIM_SIDE:
-        height, width = image.shape[:2]
+    height, width = image.shape[:2]
+    if min(height, width) < MIN_MSSSIM_SIDE:
         raise ValueError(f"{path}: eval needs images of at least {MIN_MSSSIM_SIDE}x"
                          f"{MIN_MSSSIM_SIDE} pixels for MS-SSIM, got {width}x{height}")
+    try:
+        check_frame(height, width)
+    except JpegFormatError as exc:
+        raise JpegFormatError(f"{path}: {exc}") from None
     return image
 
 
@@ -518,7 +524,8 @@ def evaluate(checkpoint, data_dir, csv_out=None):
     from the matched quality's quantized grids, bit for bit what decoding
     that quality's stream gives.  Every image is read and checked before
     the first forward pass: one under ``MIN_MSSSIM_SIDE`` pixels on a side
-    raises ValueError, naming its file, before any image is evaluated.
+    raises ValueError, and one whose frame ``check_frame`` refuses raises
+    JpegFormatError, naming its file, before any image is evaluated.
     Returns the row dicts (two per image); optionally writes them as CSV in
     the ``CSV_HEADER`` schema.
     """

@@ -1,6 +1,7 @@
 import io
 import os
 import subprocess
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,16 @@ def make_natural_image(height, width, seed=7):
         blob = np.kron(blob, np.ones((16, 16)))[:height, :width]
         img[:, :, c] = base + 18 * blob + rng.normal(0, 4, (height, width))
     return np.clip(img, 0, 255).astype(np.uint8)
+
+
+def traced_peak(call):
+    """tracemalloc peak, in bytes, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -93,9 +93,12 @@ def kwta_stable_argsort(values, k):
 
 
 
-def conv2d_keeping_columns(x, w, bias=None, stride=1, padding=0):
+def conv2d_keeping_columns(x, w, bias=None, stride=1, padding=0, band_rows=None):
     """``autodiff.conv2d`` with its im2col columns filled tap by tap and kept
-    for the kernel gradient."""
+    for the kernel gradient.  With ``band_rows`` the forward GEMM runs per
+    image on bands of that many output rows of the kept columns, as
+    ``conv2d`` splits it across bands: BLAS can round a narrower GEMM
+    differently, so only the same split gives the same bits."""
     B, C, H, W = x.shape
     O, _, kh, kw = w.shape
     s, p = int(stride), int(padding)
@@ -110,7 +113,15 @@ def conv2d_keeping_columns(x, w, bias=None, stride=1, padding=0):
             cols[:, :, i, j] = xp[:, :, i : i + s * Ho : s, j : j + s * Wo : s]
     cols2 = cols.reshape(B, C * kh * kw, Ho * Wo)
     wf = w.data.reshape(O, C * kh * kw)
-    out = np.matmul(wf, cols2).reshape(B, O, Ho, Wo)
+    if band_rows is None:
+        out = np.matmul(wf, cols2).reshape(B, O, Ho, Wo)
+    else:
+        out = np.empty((B, O, Ho, Wo))
+        for b in range(B):
+            for r0 in range(0, Ho, band_rows):
+                r1 = min(Ho, r0 + band_rows)
+                band = np.ascontiguousarray(cols2[b, :, r0 * Wo : r1 * Wo])
+                out[b, :, r0:r1] = (wf @ band).reshape(O, r1 - r0, Wo)
     if bias is not None:
         out = out + bias.data[None, :, None, None]
 

@@ -1,3 +1,4 @@
+import functools
 import struct
 import threading
 import tracemalloc
@@ -14,6 +15,7 @@ from softjpeg import pipeline as pl
 from softjpeg import training as tr
 from softjpeg.autodiff import Tensor
 from softjpeg.codec import round_half_away
+from tests.conftest import traced_peak
 from tests.reference import conv2d_keeping_columns, grad_check, kwta_stable_argsort
 
 
@@ -179,6 +181,17 @@ def test_conv2d_temporaries_are_one_image_at_a_time():
         f"peak {peak / 2**20:.2f} MiB over {returned / 2**20:.2f} MiB returned")
 
 
+def test_conv2d_forward_temporaries_are_one_band_of_columns():
+    # Layer 2 of a half-Kodak stem: one image's columns are 14.2 MB, the
+    # output 3.1 MB.
+    rng = np.random.default_rng(12)
+    x, w, bias = (Tensor(rng.normal(size=shape)) for shape in ((1, 32, 128, 192), (64, 32, 3, 3),
+                                                               (64,)))
+    peak = traced_peak(lambda: ad.conv2d(x, w, bias, stride=2, padding=1))
+    out_bytes = 64 * 64 * 96 * 8
+    assert peak < out_bytes + 2 * ad.BAND_BYTES, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_backward_rejects_non_scalar():
     x = leaf([1.0, 2.0])
     with pytest.raises(ValueError, match="scalar"):
@@ -305,19 +318,40 @@ def conv_cases(draw):
     return x, rng.normal(size=(o, c, kh, kw)), rng.normal(size=(o,)), stride, padding
 
 
+def _conv2d_against_the_column_keeping_form(case, band_bytes, band_rows):
+    """Run ``conv2d`` under a ``band_bytes`` budget and the reference with its
+    forward GEMM split into ``band_rows`` bands; both forward and backward
+    must agree bit for bit."""
+    x, w, bias, stride, padding = case
+    results = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "BAND_BYTES", band_bytes)
+        for conv in (ad.conv2d, functools.partial(conv2d_keeping_columns, band_rows=band_rows)):
+            xt, wt, bt = leaf(x), leaf(w), leaf(bias)
+            out = conv(xt, wt, bt, stride=stride, padding=padding)
+            upstream = Tensor(np.cos(np.arange(out.size, dtype=np.float64)).reshape(out.shape))
+            ad.backward(ad.reduce_mean(ad.hadamard_mul(out, upstream)))
+            results.append((out.data, xt.grad, wt.grad, bt.grad))
+    for name, new, kept in zip(("out", "x", "w", "bias"), *results):
+        assert np.array_equal(new, kept), name
+
+
 @given(conv_cases())
 @settings(max_examples=200, deadline=None)
 def test_conv2d_matches_the_column_keeping_form_bit_for_bit(case):
-    x, w, bias, stride, padding = case
-    results = []
-    for conv in (ad.conv2d, conv2d_keeping_columns):
-        xt, wt, bt = leaf(x), leaf(w), leaf(bias)
-        out = conv(xt, wt, bt, stride=stride, padding=padding)
-        upstream = Tensor(np.cos(np.arange(out.size, dtype=np.float64)).reshape(out.shape))
-        ad.backward(ad.reduce_mean(ad.hadamard_mul(out, upstream)))
-        results.append((out.data, xt.grad, wt.grad, bt.grad))
-    for name, new, kept in zip(("out", "x", "w", "bias"), *results):
-        assert np.array_equal(new, kept), name
+    # No case's columns reach the default budget, so each image is one band.
+    _conv2d_against_the_column_keeping_form(case, ad.BAND_BYTES, None)
+
+
+@given(conv_cases())
+@settings(max_examples=200, deadline=None)
+def test_conv2d_in_one_row_bands_matches_the_column_keeping_form_bit_for_bit(case):
+    # A one-byte budget makes every band one output row, so every tap span is
+    # clipped at band edges; the reference splits its GEMM the same way, but
+    # for the 1x1 stride-1 unpadded kernel, which is never banded.
+    _, w, _, stride, padding = case
+    one_to_one = w.shape[2:] == (1, 1) and stride == 1 and not padding
+    _conv2d_against_the_column_keeping_form(case, 1, None if one_to_one else 1)
 
 
 # --- grad check over every registered op --------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from softjpeg import cli
 from softjpeg import training as tr
 from softjpeg.cli import main
-from softjpeg.codec import read_ppm, write_ppm
+from softjpeg.codec import jfif, read_ppm, write_ppm
 from softjpeg.training import CSV_HEADER
 from tests.conftest import make_natural_image
 
@@ -184,6 +184,19 @@ def test_eval_on_an_image_under_176_px_exits_1_naming_it(trained, tmp_path, caps
                  "--csv", str(tmp_path / "m.csv")]) == 1
     err = capsys.readouterr().err
     assert f"{data / 'small.ppm'}: eval needs images of at least 176x176" in err
+
+
+def test_eval_on_a_frame_too_large_to_code_exits_3_naming_it(trained, tmp_path, capsys,
+                                                            monkeypatch):
+    _, ckpt = trained
+    data = tmp_path / "eval-data"
+    data.mkdir()
+    write_ppm(data / "wide.ppm", make_natural_image(176, 200, seed=74))
+    monkeypatch.setattr(jfif, "MAX_PIXELS", 176 * 176)
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                 "--csv", str(tmp_path / "m.csv")]) == 3
+    err = capsys.readouterr().err
+    assert f"invalid input data: {data / 'wide.ppm'}: frame declares 200x176 pixels" in err
 
 
 @pytest.mark.parametrize("keep", [3, 100, 0.5])

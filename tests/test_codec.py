@@ -1,5 +1,4 @@
 import io
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from softjpeg.codec import (
     transform_grids,
 )
 from softjpeg.losses import psnr
+from tests.conftest import traced_peak
 
 
 def test_decode_matches_reference_decoder_within_one(natural_image, stock_decode):
@@ -119,16 +119,6 @@ def test_transform_once_then_quantize_equals_forward_grids(natural_image, shape)
             assert a.blocks.dtype == b.blocks.dtype == np.int16
             assert np.array_equal(a.blocks, b.blocks)
             assert (a.channel, a.height, a.width) == (b.channel, b.height, b.width)
-
-
-def traced_peak(call):
-    """tracemalloc peak, in bytes, of ``call()``."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_decode_working_set_is_bounded_by_the_raster():

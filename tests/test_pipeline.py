@@ -12,6 +12,7 @@ from softjpeg.codec import (
 )
 from softjpeg.editor import init_refiner, init_stem
 from softjpeg.losses import psnr
+from tests.conftest import make_natural_image, traced_peak
 from tests.reference import (
     assemble_plane,
     dequantize_blocks,
@@ -230,6 +231,16 @@ def test_forward_bpp_measured_from_real_bitstream(natural_image):
     params = pl.init_pipeline(CFG, seed=9)
     out = pl.forward(img, params, CFG, rounding="hard", measure_rate=True)
     assert len(out.bpp) == 1 and out.bpp[0] > 0
+
+
+def test_image_scale_encode_stream_peak_memory():
+    # Whole-image im2col columns peaked at 27.0 MiB here (layer 2's alone
+    # are 14.2 MB); conv2d builds them one band of output rows at a time.
+    config = tr.TrainConfig(hidden_size=64, kwta_k=32).pipeline
+    params = pl.init_pipeline(config, seed=0)
+    img = make_natural_image(256, 384, seed=14)
+    peak = traced_peak(lambda: pl.encode_stream(img, params, config))
+    assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_encode_stream_is_stock_decodable(natural_image):

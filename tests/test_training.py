@@ -14,7 +14,7 @@ from softjpeg import pipeline as pl
 from softjpeg import training as tr
 from softjpeg.autodiff import Tensor
 from softjpeg.codec import bits_per_pixel, decode_baseline, encode_baseline, tables_for_quality
-from softjpeg.codec import write_ppm
+from softjpeg.codec import JpegFormatError, jfif, write_ppm
 from softjpeg.training import CSV_HEADER, CheckpointFormatError, LossConfig, load_tensors
 from tests.conftest import make_natural_image
 
@@ -426,4 +426,18 @@ def test_evaluate_names_an_image_too_small_for_msssim_before_its_forward_pass(ev
                                              r"176x176 pixels for MS-SSIM, got 64x64"):
             tr.evaluate(ckpt, data_dir)
     assert forward.call_count == 0  # small.ppm is checked before big.ppm is evaluated
+
+
+def test_evaluate_names_a_frame_too_large_to_code_before_its_forward_pass(eval_setup, monkeypatch):
+    ckpt, _, tmp = eval_setup
+    data_dir = tmp / "oversize"
+    data_dir.mkdir()
+    write_ppm(data_dir / "a.ppm", make_natural_image(176, 176, seed=57))
+    write_ppm(data_dir / "b.ppm", make_natural_image(176, 200, seed=58))
+    monkeypatch.setattr(jfif, "MAX_PIXELS", 176 * 176)
+    with mock.patch.object(pl, "forward", wraps=pl.forward) as forward:
+        with pytest.raises(JpegFormatError, match=r"b\.ppm: frame declares 200x176 pixels, "
+                                                  r"more than the 30976-pixel limit"):
+            tr.evaluate(ckpt, data_dir)
+    assert forward.call_count == 0  # b.ppm is checked before a.ppm is evaluated
 
