@@ -10,10 +10,10 @@ computed for them.  Each VJP captures only the arrays it reads, so a
 forward value lives only while a VJP reads it or a caller holds its tensor.
 Where an array can be rebuilt from one a VJP keeps anyway, it is rebuilt:
 ``conv2d`` keeps its input, not its im2col columns.  ``conv2d`` also works
-one image at a time and makes no padded copy of its input, and its forward
-pass builds an image's columns one band of output rows at a time, so its
-forward temporaries stay one band's columns (``BAND_BYTES``) whatever the
-batch or the image size.
+one image at a time, and its forward pass builds an image's columns one band
+of output rows at a time from a padded copy of one band's input rows, so its
+forward temporaries stay one band's columns (``BAND_BYTES``) and rows
+whatever the batch or the image size.
 ``backward`` owns gradient flow: it sweeps nodes in reverse creation order
 (creation order is a topological order because operands always exist
 before their result), sums each node's terms, hands the sum to its parents
@@ -40,7 +40,7 @@ _COUNTER = itertools.count()
 _TAPING = contextvars.ContextVar("softjpeg_autodiff_taping", default=True)
 # The bytes of im2col columns conv2d's forward pass builds at once: it fills
 # and multiplies each image's columns this many bytes' worth of output rows
-# at a time.
+# at a time, each band from a padded copy of one band's input rows.
 BAND_BYTES = 1 << 20
 
 
@@ -338,28 +338,15 @@ def kwta(a, k):
     return _result(a.data * mask, "kwta", ((a, lambda g: g * mask),))
 
 
-def _tap_spans(n, lo, hi, k, stride, padding):
-    """For each tap i of a k-tap kernel along an axis of n input samples: the
-    (output, input) slices over which output v, for v in lo..hi-1, reads
-    input ``stride * v + i - padding`` inside the input, the output slice
-    counted from ``lo``, or None for a tap that reads only padding there."""
-    spans = []
-    for i in range(k):
-        first_v = max(lo, -((i - padding) // stride))
-        stop_v = min(hi, (n - 1 + padding - i) // stride + 1)
-        first = stride * first_v + i - padding
-        spans.append((slice(first_v - lo, stop_v - lo),
-                      slice(first, first + stride * (stop_v - first_v - 1) + 1, stride))
-                     if first_v < stop_v else None)
-    return spans
-
-
-def _taps(H, W, kh, kw, stride, padding, rows, Wo):
-    """(i, j, row spans, column spans) of every tap that reads inside an
-    (H, W) input at the output rows ``rows`` (a range), all Wo columns."""
-    return [(i, j, vs, us)
-            for i, vs in enumerate(_tap_spans(H, rows.start, rows.stop, kh, stride, padding)) if vs
-            for j, us in enumerate(_tap_spans(W, 0, Wo, kw, stride, padding)) if us]
+def _padded_rows(xb, top, xp, padding):
+    """Fill ``xp`` (C, count, W + 2 * padding) with rows ``top ..
+    top+count-1`` of image ``xb`` (C, H, W) in padded coordinates: zero
+    outside the image."""
+    H, W = xb.shape[1:]
+    lo, hi = max(top, padding), min(top + xp.shape[1], H + padding)
+    xp.fill(0.0)
+    if lo < hi:
+        xp[:, lo - top : hi - top, padding : padding + W] = xb[:, lo - padding : hi - padding]
 
 
 def _image_columns(x, kh, kw, stride, padding, Ho, Wo, band):
@@ -367,48 +354,45 @@ def _image_columns(x, kh, kw, stride, padding, Ho, Wo, band):
     (B, C, H, W) and each band of ``band`` output rows: the band's
     (C * kh * kw, rows * Wo) im2col columns, C-contiguous in (c, i, j) order
     as the GEMMs need them for the same bits, and the slice of the image's
-    flattened output they make.  One zeroed buffer serves every band, which
-    fills its taps' spans clipped to its rows, so padding entries stay zero
-    (with several bands, it clears the buffer first) and no padded copy of
-    ``x`` is made.  A 1x1 stride-1 unpadded kernel's columns are a reshape
-    of the image, in one band."""
-    C, H, W = x.shape[1:]
-    if kh == kw == stride == 1 and not padding:
-        for b, xb in enumerate(x):
-            yield b, slice(0, Ho * Wo), np.ascontiguousarray(xb).reshape(C, Ho * Wo)
-        return
-    band = min(band, Ho)
-    buf = np.zeros(C * kh * kw * band * Wo)
+    flattened output they make.  Each band's taps are plain strided slices
+    of a padded copy of one band's input rows; the copy and the columns
+    each have one buffer that every band shares."""
+    C, _, W = x.shape[1:]
+    s, band = stride, min(band, Ho)
+    buf = np.empty(C * kh * kw * band * Wo)
+    rows_buf = np.empty((C, s * (band - 1) + kh, W + 2 * padding))
     for b, xb in enumerate(x):
         for r0 in range(0, Ho, band):
-            rows = range(r0, min(Ho, r0 + band))
-            cols = buf[: C * kh * kw * len(rows) * Wo].reshape(C, kh, kw, len(rows), Wo)
-            if band < Ho:
-                cols.fill(0.0)
-            for i, j, (vo, vi), (uo, ui) in _taps(H, W, kh, kw, stride, padding, rows, Wo):
-                cols[:, i, j, vo, uo] = xb[:, vi, ui]
-            yield b, slice(rows.start * Wo, rows.stop * Wo), cols.reshape(-1, len(rows) * Wo)
+            rows = min(Ho - r0, band)
+            xp = rows_buf[:, : s * (rows - 1) + kh]
+            _padded_rows(xb, s * r0, xp, padding)
+            cols = buf[: C * kh * kw * rows * Wo].reshape(C, kh, kw, rows, Wo)
+            for i in range(kh):
+                for j in range(kw):
+                    cols[:, i, j] = xp[:, i : i + s * rows : s, j : j + s * Wo : s]
+            yield b, slice(r0 * Wo, (r0 + rows) * Wo), cols.reshape(-1, rows * Wo)
 
 
 def conv2d(x, w, bias=None, stride=1, padding=0):
     """2D convolution: x (B, C, H, W) with kernels w (O, C, kh, kw).
 
-    It works one image at a time and makes no padded copy of ``x``: taps
-    that fall in the padding are left at zero in the columns and skipped in
-    the input gradient.  The forward pass builds an image's im2col columns
-    one band of output rows at a time, ``BAND_BYTES`` of them at most (one
-    row at least), and writes each band's GEMM into those rows of the
-    output.  The kernel gradient rebuilds one image's columns at a time from
-    ``x``'s array, which the VJP keeps instead (often one a VJP upstream
-    already holds, such as ``tanh``'s output), and adds the images' terms in
-    batch order.  Where an image's columns fit one band (every layer at desk
-    scale), every GEMM is the one a batched ``np.matmul`` issues per image
-    and every sum adds in the same order, so the results are bit for bit
-    those of the whole-batch im2col form (but for a kernel of one weight at
-    batch 8 or more, whose batch sum numpy would add pairwise).  Across
-    bands, OpenBLAS can round a narrower GEMM's outputs differently (its
-    small-matrix and edge kernels), so the output may move in the last bits,
-    though not on half-Kodak or Kodak-size stems; the gradients never do.
+    It works one image at a time.  The forward pass builds an image's im2col
+    columns one band of output rows at a time, ``BAND_BYTES`` of them at
+    most (one row at least), from a padded copy of one band's input rows,
+    and writes each band's GEMM into those rows of the output; a 1x1 kernel
+    is banded like any other.  The input gradient adds each tap's column
+    gradient into one zero-padded image and keeps its interior.  The kernel
+    gradient rebuilds one image's columns at a time from ``x``'s array,
+    which the VJP keeps instead (often one a VJP upstream already holds,
+    such as ``tanh``'s output), and adds the images' terms in batch order.
+    Where an image's columns fit one band (every layer at desk scale), every
+    GEMM is the one a batched ``np.matmul`` issues per image and every sum
+    adds in the same order, so the results are bit for bit those of the
+    whole-batch im2col form (but for a kernel of one weight at batch 8 or
+    more, whose batch sum numpy would add pairwise).  Across bands, OpenBLAS
+    can round a narrower GEMM's outputs differently (its small-matrix and
+    edge kernels), so the output may move in the last bits, though not on
+    half-Kodak or Kodak-size stems; the gradients never do.
     """
     if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeError("conv2d", x.shape, w.shape)
@@ -424,7 +408,6 @@ def conv2d(x, w, bias=None, stride=1, padding=0):
 
     xd, w_shape = x.data, w.shape
     wf = w.data.reshape(O, C * kh * kw)
-    taps = _taps(H, W, kh, kw, s, p, range(Ho), Wo)
     out = np.empty((B, O, Ho, Wo))
     flat = out.reshape(B, O, Ho * Wo)
     band = max(1, BAND_BYTES // (wf.shape[1] * Wo * 8))
@@ -434,13 +417,17 @@ def conv2d(x, w, bias=None, stride=1, padding=0):
         out += bias.data[:, None, None]
 
     def vjp_x(g):
-        dx = np.zeros((B, C, H, W))
+        dx = np.empty((B, C, H, W))
         dcols = np.empty((C * kh * kw, Ho * Wo))
         dtaps = dcols.reshape(C, kh, kw, Ho, Wo)
+        dxp = np.empty((C, H + 2 * p, W + 2 * p))
         for dxb, gb in zip(dx, g.reshape(B, O, Ho * Wo)):
             np.matmul(wf.T, gb, out=dcols)
-            for i, j, (vo, vi), (uo, ui) in taps:
-                dxb[:, vi, ui] += dtaps[:, i, j, vo, uo]
+            dxp.fill(0.0)
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, i : i + s * Ho : s, j : j + s * Wo : s] += dtaps[:, i, j]
+            dxb[...] = dxp[:, p : p + H, p : p + W]
         return dx
 
     def vjp_w(g):

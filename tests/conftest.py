@@ -109,6 +109,7 @@ def stock_decode(request):
 def libjpeg_encode(tmp_path_factory):
     """Encode an (H, W, 3) uint8 raster to JFIF with the system libjpeg through
     the ``refencode.c`` client: ``encode(image, quality, *options)``, with the
-    client's options "420", "restart=ROWS", "progressive" and "crtable"."""
+    client's options "420", "restart=ROWS", "progressive", "crtable" and
+    "optimize"."""
     run = _build_libjpeg_client(tmp_path_factory, "refencode", "no libjpeg encoder")
     return lambda image, quality, *options: run(encode_ppm(image), str(quality), *options)

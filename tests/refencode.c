@@ -3,12 +3,13 @@
  * stdout.  The stream is baseline sequential 4:4:4 with the standard
  * Huffman tables unless an option says otherwise:
  *
- *   refencode QUALITY [420] [restart=ROWS] [progressive] [crtable]
+ *   refencode QUALITY [420] [restart=ROWS] [progressive] [crtable] [optimize]
  *
  *   420           2x2 luma sampling (4:2:0)
  *   restart=ROWS  a restart marker every ROWS MCU rows
  *   progressive   libjpeg's default progressive scan script
  *   crtable       Cr quantized with its own table, a copy of the luma one
+ *   optimize      Huffman tables optimized for the image (optimize_coding)
  *
  * Exits with status 1 on a bad argument or a libjpeg error, 2 on bad input.
  *
@@ -23,7 +24,8 @@
 int main(int argc, char **argv) {
     unsigned width, height, maxval;
     if (argc < 2) {
-        fprintf(stderr, "usage: refencode QUALITY [420] [restart=ROWS] [progressive] [crtable]\n");
+        fprintf(stderr, "usage: refencode QUALITY [420] [restart=ROWS] [progressive] [crtable]"
+                        " [optimize]\n");
         return 1;
     }
     if (scanf("P6 %u %u %u", &width, &height, &maxval) != 3 || maxval != 255
@@ -58,6 +60,8 @@ int main(int argc, char **argv) {
             memcpy(table->quantval, cinfo.quant_tbl_ptrs[0]->quantval, sizeof table->quantval);
             cinfo.quant_tbl_ptrs[2] = table;
             cinfo.comp_info[2].quant_tbl_no = 2;
+        } else if (!strcmp(argv[i], "optimize")) {
+            cinfo.optimize_coding = TRUE;
         } else {
             fprintf(stderr, "refencode: unknown option %s\n", argv[i]);
             return 1;

@@ -332,8 +332,9 @@ def _conv2d_against_the_column_keeping_form(case, band_bytes, band_rows):
             upstream = Tensor(np.cos(np.arange(out.size, dtype=np.float64)).reshape(out.shape))
             ad.backward(ad.reduce_mean(ad.hadamard_mul(out, upstream)))
             results.append((out.data, xt.grad, wt.grad, bt.grad))
+    # Bytes, not values: -0.0 and 0.0 differ here.
     for name, new, kept in zip(("out", "x", "w", "bias"), *results):
-        assert np.array_equal(new, kept), name
+        assert new.shape == kept.shape and new.tobytes() == kept.tobytes(), name
 
 
 @given(conv_cases())
@@ -346,12 +347,10 @@ def test_conv2d_matches_the_column_keeping_form_bit_for_bit(case):
 @given(conv_cases())
 @settings(max_examples=200, deadline=None)
 def test_conv2d_in_one_row_bands_matches_the_column_keeping_form_bit_for_bit(case):
-    # A one-byte budget makes every band one output row, so every tap span is
-    # clipped at band edges; the reference splits its GEMM the same way, but
-    # for the 1x1 stride-1 unpadded kernel, which is never banded.
-    _, w, _, stride, padding = case
-    one_to_one = w.shape[2:] == (1, 1) and stride == 1 and not padding
-    _conv2d_against_the_column_keeping_form(case, 1, None if one_to_one else 1)
+    # A one-byte budget makes every band one output row, so every band pads
+    # its own input rows, a 1x1 kernel's too; the reference splits its GEMM
+    # the same way.
+    _conv2d_against_the_column_keeping_form(case, 1, 1)
 
 
 # --- grad check over every registered op --------------------------------------

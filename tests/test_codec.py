@@ -62,17 +62,23 @@ def test_decode_of_reference_encoder_output_matches(natural_image, stock_decode,
     [
         ((50,), None),
         ((90,), None),
+        ((10, "optimize"), None),
+        ((50, "optimize"), None),
+        ((95, "optimize"), None),
         ((75, "420"), "chroma subsampling is not supported"),
         ((75, "restart=1"), "restart intervals are not supported"),
         ((75, "progressive"), "progressive JPEG is not supported"),
         ((75, "crtable"), "Cb and Cr must share one quantization table"),
     ],
-    ids=["444-q50", "444-q90", "420", "restart", "progressive", "cr-table"],
+    ids=["444-q50", "444-q90", "optimized-q10", "optimized-q50", "optimized-q95", "420", "restart",
+         "progressive", "cr-table"],
 )
 def test_libjpeg_streams_decode_exactly_or_raise(natural_image, libjpeg_encode, stock_decode,
                                                   options, error):
-    # libjpeg's 4:4:4 baseline streams decode bit-exactly; every stream
-    # outside the supported subset raises the parser's error.
+    # libjpeg's 4:4:4 baseline streams decode bit-exactly, with the standard
+    # Huffman tables or ones optimized for the image (whose code lengths the
+    # standard ones never use); every stream outside the supported subset
+    # raises the parser's error.
     stream = libjpeg_encode(natural_image(120, 184, seed=7), *options)
     if error is None:
         assert np.array_equal(decode_baseline(stream), stock_decode(stream))
