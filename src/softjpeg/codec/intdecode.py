@@ -4,23 +4,30 @@ Reproduces the fixed-point inverse DCT and color-conversion arithmetic used
 by the common deployed decoders, so that decode output is bit-compatible
 with them.  The float orthonormal transform in ``dct`` stays the
 mathematical inverse; this path exists purely for interchange fidelity.
+
+The inverse DCT is libjpeg's jidctint.c, which T.81 Annex A.3.3 defines as
+a sum over an 8x8 cosine basis: a matrix product.  Its butterfly composes
+to the integer matrix ``_ISLOW``, so each of its two passes is one product
+with ``_ISLOW`` followed by the butterfly's rounding and descale.
 """
 
 import numpy as np
 
-# Fixed-point constants, 13 fractional bits (inverse DCT).
-_F0_298631336 = 2446
-_F0_390180644 = 3196
-_F0_541196100 = 4433
-_F0_765366865 = 6270
-_F0_899976223 = 7373
-_F1_175875602 = 9633
-_F1_501321110 = 12299
-_F1_847759065 = 15137
-_F1_961570560 = 16069
-_F2_053119869 = 16819
-_F2_562915447 = 20995
-_F3_072711026 = 25172
+# The 8x8 matrix that jidctint.c's butterfly composes, 13 fractional bits:
+# sample x = sum over u of _ISLOW[x, u] * coefficient u.  Sixteen entries
+# differ by one from a rounded scaled cosine basis, since the butterfly
+# rounds its twelve constants, not the basis; tests derive it from the
+# butterfly.
+_ISLOW = np.array([
+    [8192, 11363, 10703, 9633, 8192, 6437, 4433, 2260],
+    [8192, 9633, 4433, -2259, -8192, -11362, -10704, -6436],
+    [8192, 6437, -4433, -11362, -8192, 2261, 10704, 9633],
+    [8192, 2260, -10703, -6436, 8192, 9633, -4433, -11363],
+    [8192, -2260, -10703, 6436, 8192, -9633, -4433, 11363],
+    [8192, -6437, -4433, 11362, -8192, -2261, 10704, -9633],
+    [8192, -9633, 4433, 2259, -8192, 11362, -10704, 6436],
+    [8192, -11363, 10703, -9633, 8192, -6437, 4433, -2260],
+], dtype=np.float64)
 
 # libjpeg-turbo's post-IDCT range limit (jdmaster.c ``prepare_range_limit_table``,
 # offset by CENTERJSAMPLE), indexed by the unshifted sample masked to 10 bits.
@@ -30,46 +37,6 @@ _RANGE_LIMIT = np.concatenate([np.arange(128, 256), np.full(384, 255), np.zeros(
                                np.arange(0, 128)])
 
 
-def _idct_1d(col, rounding, out_shift):
-    """Shared even/odd butterfly for one pass over the 8 lanes on axis 0.
-
-    ``col`` is an (8, ...) int64 array (already dequantized for pass 1).
-    Returns the (8, ...) output lanes, descaled by ``out_shift``.
-    """
-    z2, z3 = col[2], col[6]
-    z1 = (z2 + z3) * _F0_541196100
-    t2 = z1 + z2 * _F0_765366865
-    t3 = z1 - z3 * _F1_847759065
-    z2 = (col[0] << 13) + rounding
-    z3 = col[4] << 13
-    t0, t1 = z2 + z3, z2 - z3
-    t10, t13 = t0 + t2, t0 - t2
-    t11, t12 = t1 + t3, t1 - t3
-
-    t0, t1, t2, t3 = col[7], col[5], col[3], col[1]
-    z2, z3 = t0 + t2, t1 + t3
-    z1 = (z2 + z3) * _F1_175875602
-    z2 = z2 * -_F1_961570560 + z1
-    z3 = z3 * -_F0_390180644 + z1
-    z1 = (t0 + t3) * -_F0_899976223
-    t0 = t0 * _F0_298631336 + z1 + z2
-    t3 = t3 * _F1_501321110 + z1 + z3
-    z1 = (t1 + t2) * -_F2_562915447
-    t1 = t1 * _F2_053119869 + z1 + z3
-    t2 = t2 * _F3_072711026 + z1 + z2
-
-    return np.stack([
-        (t10 + t3) >> out_shift,
-        (t11 + t2) >> out_shift,
-        (t12 + t1) >> out_shift,
-        (t13 + t0) >> out_shift,
-        (t13 - t0) >> out_shift,
-        (t12 - t1) >> out_shift,
-        (t11 - t2) >> out_shift,
-        (t10 - t3) >> out_shift,
-    ])
-
-
 def integer_idct_samples(blocks, table):
     """Dequantize and inverse-transform integer blocks to [0, 255] samples.
 
@@ -77,13 +44,21 @@ def integer_idct_samples(blocks, table):
     table.  Returns samples of the same shape, level shift undone and range
     limited as libjpeg-turbo does, so coefficients that no 8-bit image
     produces decode as they do there.
+
+    With ``C`` a dequantized block, pass 1 is ``W = (_ISLOW @ C + 1024) >> 11``
+    and pass 2 ``S = (W @ _ISLOW.T + (16 << 13)) >> 18``, each product taken
+    in float64 over every block at once.  The products are exact in any
+    summation order: an int16 coefficient times a table entry of at most
+    255 is at most 2^23 in magnitude and no row of |``_ISLOW``| sums past
+    61214 < 2^16, so pass 1's partial sums stay below 2^39 and, with |W|
+    below 2^28, pass 2's below 2^44, integers that float64 holds exactly.
     """
-    c = blocks.reshape(-1, 8, 8).astype(np.int64)
-    c *= np.asarray(table, dtype=np.int64).reshape(8, 8)  # in place: no second plane copy
-    # Pass 1 runs down the columns (lanes = rows r), pass 2 along the rows
-    # (lanes = columns j); the lane axis leads in each: (r, N, j), then (j, N, r).
-    ws = _idct_1d(c.transpose(1, 0, 2), 1024, 11)
-    samples = _idct_1d(ws.transpose(2, 1, 0), 16 << 13, 18).transpose(1, 2, 0)
+    c = blocks.reshape(-1, 8, 8) * np.asarray(table, dtype=np.float64).reshape(8, 8)
+    # Pass 1 runs down the columns: the lanes (u, N*v) give ws as (x, N*v).
+    ws = ((_ISLOW @ c.transpose(1, 0, 2).reshape(8, -1)).astype(np.int64) + 1024) >> 11
+    # Pass 2 runs along the rows: the lanes (x*N, v) give samples as (x*N, y).
+    samples = ((ws.reshape(-1, 8) @ _ISLOW.T).astype(np.int64) + (16 << 13)) >> 18
+    samples = samples.reshape(8, -1, 8).transpose(1, 0, 2)
     return _RANGE_LIMIT[samples & 1023].reshape(blocks.shape)
 
 

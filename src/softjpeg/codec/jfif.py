@@ -13,7 +13,8 @@ from .blocks import BLOCK, CoefficientGrid, mcu_row_bands, partition_plane
 from .color import rgb_to_ycbcr
 from .dct import fdct_blocks
 from .errors import CoefficientRangeError, JpegFormatError
-from .huffman import DEFAULT_SPECS, ZIGZAG, decode_scan, encode_scan, parse_dht, scan_tables
+from .huffman import DC_PEAK, DEFAULT_SPECS, ZIGZAG, decode_scan, encode_scan, parse_dht
+from .huffman import scan_tables
 from .intdecode import integer_idct_samples, ycbcr_samples_to_rgb
 from .quant import QuantTablePair, quantize_blocks
 
@@ -50,6 +51,16 @@ def check_frame(height, width):
     if height * width > MAX_PIXELS:
         raise JpegFormatError(f"frame declares {width}x{height} pixels, more than the "
                               f"{MAX_PIXELS}-pixel limit")
+
+
+def check_raster(rgb):
+    """Raise ValueError, naming its shape, unless ``rgb`` is one (H, W, 3)
+    raster, and JpegFormatError unless ``check_frame`` takes its frame: the
+    check every encoder runs on its input before any work."""
+    shape = np.shape(rgb)
+    if len(shape) != 3 or shape[2] != 3:
+        raise ValueError(f"expected one (H, W, 3) raster, got shape {shape}")
+    check_frame(*shape[:2])
 
 
 def _segment(marker, payload):
@@ -90,7 +101,7 @@ def _check_coefficient_range(grids):
     for grid in grids:
         # From min and max, not np.abs: abs(-32768) wraps in an int16 grid.
         peak = max(-int(grid.blocks.min()), int(grid.blocks.max())) if grid.blocks.size else 0
-        if peak > 2047:
+        if peak > DC_PEAK:
             raise CoefficientRangeError(
                 f"{grid.channel} coefficient magnitude {peak} exceeds the signed 12-bit range"
             )
@@ -295,7 +306,9 @@ def forward_grids(rgb, tables):
     lies within +-2048).
 
     The work runs one band of MCU rows at a time into the preallocated
-    grids, so the float image and its planes never exist whole."""
+    grids, so the float image and its planes never exist whole.  An input
+    that ``check_raster`` refuses raises before any work."""
+    check_raster(rgb)
     rgb = np.asarray(rgb)
     grids = _empty_grids(*rgb.shape[:2], np.int16)
     for band in mcu_row_bands(*grids[0].blocks.shape[:2]):
@@ -307,6 +320,7 @@ def transform_grids(rgb):
     """The transform stage of ``forward_grids`` alone: float64 grids that
     ``quantize_grids`` turns into what ``forward_grids`` returns, so one
     image can be quantized with many tables but transformed once."""
+    check_raster(rgb)
     rgb = np.asarray(rgb)
     grids = _empty_grids(*rgb.shape[:2], np.float64)
     for band in mcu_row_bands(*grids[0].blocks.shape[:2]):
@@ -325,9 +339,8 @@ def quantize_grids(grids, tables):
 
 
 def encode_baseline(rgb, tables):
-    """Compress an (H, W, 3) uint8 raster to a JFIF stream; a frame that
-    ``check_frame`` refuses raises JpegFormatError before any work."""
-    check_frame(*np.shape(rgb)[:2])
+    """Compress an (H, W, 3) uint8 raster to a JFIF stream; ``forward_grids``
+    runs ``check_raster`` on it before any work."""
     return entropy_encode(forward_grids(rgb, tables), tables)
 
 

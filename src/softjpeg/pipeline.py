@@ -24,7 +24,7 @@ from .codec.blocks import partition_plane
 from .codec.color import RGB_FROM_YCBCR, rgb_to_ycbcr
 from .codec.dct import FDCT_FLAT, IDCT_FLAT
 from .codec.huffman import AC_PEAK
-from .codec.jfif import CHANNELS, bits_per_pixel, check_frame
+from .codec.jfif import CHANNELS, bits_per_pixel, check_raster
 from .codec.quant import round_half_away
 from .editor import (
     NamedParams,
@@ -259,9 +259,9 @@ def forward(images, params, config, rounding="soft", measure_rate=False):
 
 
 def encode_stream(image, params, config):
-    """Hard-round one image through the learned pipeline into a JFIF stream;
-    a frame that ``check_frame`` refuses raises JpegFormatError before any work."""
-    check_frame(*np.shape(image)[:2])
+    """Hard-round one (H, W, 3) image through the learned pipeline into a
+    JFIF stream; ``check_raster`` refuses any other input before any work."""
+    check_raster(image)
     with ad.no_grad():
         quantized, _, geometry, height, width = _encode_rows(image, params, config, "hard")
     grids = hard_grids(quantized, geometry, height, width)[0]

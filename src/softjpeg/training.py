@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from . import pipeline as pl
 from .autodiff import Tensor
-from .codec import bits_per_pixel, entropy_encode, quantize_grids, read_ppm, reconstruct_raster
+from .codec import quantize_grids, read_ppm, reconstruct_raster
 from .codec import JpegFormatError, tables_for_quality, transform_grids
 from .codec.jfif import check_frame
 from .editor import stem_forward
@@ -461,13 +461,12 @@ def _match_baseline_quality(image, target_bpp):
     """Binary-search the quality whose baseline bpp is nearest the target;
     returns (quality, bpp, quantized grids, tables).  Every probe is
     entropy-coded, since its bpp is the stream's exact length."""
-    h, w = image.shape[:2]
     coefficients = transform_grids(image)  # the same for every probe
 
     def encode(q):
         tables = tables_for_quality(q)
         grids = quantize_grids(coefficients, tables)
-        return q, bits_per_pixel(entropy_encode(grids, tables), w, h), grids, tables
+        return q, pl.measure_bpp(grids, tables), grids, tables
 
     lo, hi = encode(1), encode(100)
     if target_bpp <= lo[1]:

@@ -10,6 +10,8 @@ gradient reads im2col columns kept from the forward pass.
 ``encode_scan_per_symbol`` is the symbol-at-a-time form of
 ``codec.huffman.encode_scan``, and ``reconstruct_raster_per_row`` the one
 MCU row at a time form of ``codec.reconstruct_raster``.
+``integer_idct_butterfly`` is libjpeg's jidctint.c butterfly, the form of
+``codec.intdecode.integer_idct_samples`` that its matrix is composed from.
 """
 
 import numpy as np
@@ -21,7 +23,7 @@ from softjpeg.codec.color import RGB_FROM_YCBCR
 from softjpeg.codec.dct import DCT_MATRIX
 from softjpeg.codec.errors import CoefficientRangeError
 from softjpeg.codec.huffman import DEFAULT_SPECS, ZIGZAG, code_assignment, extend_magnitude
-from softjpeg.codec.intdecode import integer_idct_samples, ycbcr_samples_to_rgb
+from softjpeg.codec.intdecode import _RANGE_LIMIT, integer_idct_samples, ycbcr_samples_to_rgb
 
 _CHROMA_OFFSET = np.array([0.0, 128.0, 128.0])
 
@@ -210,3 +212,69 @@ def reconstruct_raster_per_row(grids, tables):
             planes.append(plane[: height - top, :width])
         raster[top : top + BLOCK] = ycbcr_samples_to_rgb(*planes)
     return raster
+
+
+# jidctint.c's fixed-point constants, 13 fractional bits.
+_F0_298631336 = 2446
+_F0_390180644 = 3196
+_F0_541196100 = 4433
+_F0_765366865 = 6270
+_F0_899976223 = 7373
+_F1_175875602 = 9633
+_F1_501321110 = 12299
+_F1_847759065 = 15137
+_F1_961570560 = 16069
+_F2_053119869 = 16819
+_F2_562915447 = 20995
+_F3_072711026 = 25172
+
+
+def idct_1d_butterfly(col, rounding, out_shift):
+    """jidctint.c's even/odd butterfly for one pass over the 8 lanes on axis 0.
+
+    ``col`` is an (8, ...) int64 array (already dequantized for pass 1).
+    Returns the (8, ...) output lanes, descaled by ``out_shift``.
+    """
+    z2, z3 = col[2], col[6]
+    z1 = (z2 + z3) * _F0_541196100
+    t2 = z1 + z2 * _F0_765366865
+    t3 = z1 - z3 * _F1_847759065
+    z2 = (col[0] << 13) + rounding
+    z3 = col[4] << 13
+    t0, t1 = z2 + z3, z2 - z3
+    t10, t13 = t0 + t2, t0 - t2
+    t11, t12 = t1 + t3, t1 - t3
+
+    t0, t1, t2, t3 = col[7], col[5], col[3], col[1]
+    z2, z3 = t0 + t2, t1 + t3
+    z1 = (z2 + z3) * _F1_175875602
+    z2 = z2 * -_F1_961570560 + z1
+    z3 = z3 * -_F0_390180644 + z1
+    z1 = (t0 + t3) * -_F0_899976223
+    t0 = t0 * _F0_298631336 + z1 + z2
+    t3 = t3 * _F1_501321110 + z1 + z3
+    z1 = (t1 + t2) * -_F2_562915447
+    t1 = t1 * _F2_053119869 + z1 + z3
+    t2 = t2 * _F3_072711026 + z1 + z2
+
+    return np.stack([
+        (t10 + t3) >> out_shift,
+        (t11 + t2) >> out_shift,
+        (t12 + t1) >> out_shift,
+        (t13 + t0) >> out_shift,
+        (t13 - t0) >> out_shift,
+        (t12 - t1) >> out_shift,
+        (t11 - t2) >> out_shift,
+        (t10 - t3) >> out_shift,
+    ])
+
+
+def integer_idct_butterfly(blocks, table):
+    """``codec.intdecode.integer_idct_samples`` in int64 through the butterfly:
+    pass 1 down the columns, pass 2 along the rows, then the range limit."""
+    c = blocks.reshape(-1, 8, 8).astype(np.int64)
+    c *= np.asarray(table, dtype=np.int64).reshape(8, 8)
+    # The lane axis leads in each pass: (r, N, j), then (j, N, r).
+    ws = idct_1d_butterfly(c.transpose(1, 0, 2), 1024, 11)
+    samples = idct_1d_butterfly(ws.transpose(2, 1, 0), 16 << 13, 18).transpose(1, 2, 0)
+    return _RANGE_LIMIT[samples & 1023].reshape(blocks.shape)

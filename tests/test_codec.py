@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -174,6 +175,20 @@ def test_encoders_refuse_a_frame_no_decoder_here_takes(shape, message):
         grids = tuple(CoefficientGrid(ch, blocks, *shape) for ch in ("Y", "Cb", "Cr"))
         with pytest.raises(JpegFormatError, match=message):
             entropy_encode(grids, tables)
+
+
+@pytest.mark.parametrize("shape", [(32, 48), (32, 48, 4), (2, 32, 48, 3)])
+def test_encoders_name_a_raster_shape_they_cannot_code(shape):
+    # A (B, H, W, 3) batch once passed as a B*H-row frame, and the learned
+    # encoder coded only its first image.
+    image = np.zeros(shape, dtype=np.uint8)
+    tables = tables_for_quality(50)
+    config = tr.TrainConfig().pipeline
+    params = pl.init_pipeline(config)
+    for encode in (lambda: encode_baseline(image, tables), lambda: forward_grids(image, tables),
+                   lambda: transform_grids(image), lambda: pl.encode_stream(image, params, config)):
+        with pytest.raises(ValueError, match=re.escape(f"(H, W, 3) raster, got shape {shape}")):
+            encode()
 
 
 def test_ppm_roundtrip(natural_image):
