@@ -119,7 +119,11 @@ def cmd_decode(args):
 def cmd_train(args):
     if args.config:
         with open(args.config) as fh:
-            config = tr.TrainConfig.from_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+                raise ValueError(f"{args.config}: unreadable config JSON: {exc}") from None
+        config = tr.TrainConfig.from_dict(data)
     else:
         config = tr.TrainConfig()
     print(tr.TRAIN_LOG_HEADER)

@@ -3,10 +3,10 @@ canonical code assignment (ITU-T T.81 Annex C), DHT parsing with libjpeg's
 table checks, bit I/O with byte stuffing and the baseline scan syntax
 (Annex F.1.2 / F.2.2).
 
-A Huffman code is its '0'/'1' bit string for the decoder, whose decode
-tables map code to symbol; only this module builds or reads them.  The
-encoder works on arrays instead: each table's codes and lengths indexed by
-symbol, and whole bands of MCU rows coded and packed into bytes at once."""
+A Huffman code is an integer with its bit length (T.81 C.2's HUFFCODE and
+HUFFSIZE); only this module builds or reads codes.  Decode tables map
+``(length, code)`` to symbol; the encoder indexes codes and lengths by symbol
+in arrays and codes and packs whole bands of MCU rows into bytes at once."""
 
 import numpy as np
 
@@ -81,8 +81,8 @@ DEFAULT_SPECS = {
 
 
 def code_assignment(lengths, values):
-    """Yield ``(symbol, code)`` for a (lengths, values) table spec: each
-    canonical code of ITU-T T.81 Annex C as a '0'/'1' string, shortest first.
+    """Yield ``(symbol, code, length)`` for a (lengths, values) table spec,
+    shortest first: each canonical code of ITU-T T.81 Annex C as an integer.
     A length with more codes than fit, or whose last code is all 1-bits,
     raises JpegFormatError, as in libjpeg ("Bogus Huffman table definition")."""
     if len(lengths) != 16:
@@ -95,7 +95,7 @@ def code_assignment(lengths, values):
         if code + count >= 1 << size:
             raise JpegFormatError(f"Huffman table holds too many codes of length {size}")
         for _ in range(count):
-            yield next(symbols), format(code, f"0{size}b")
+            yield next(symbols), code, size
             code += 1
         code <<= 1
 
@@ -123,9 +123,9 @@ def parse_dht(payload):
 
 
 def scan_tables(tables, dc_dest, ac_dest, channel):
-    """The (DC, AC) decode tables, each mapping a code of ``code_assignment``
-    to its symbol, that scan component ``channel`` selects from ``tables``,
-    parse_dht's tables by (class, destination).  As libjpeg's
+    """The (DC, AC) decode tables, each mapping a ``(length, code)`` of
+    ``code_assignment`` to its symbol, that scan component ``channel`` selects
+    from ``tables``, parse_dht's tables by (class, destination).  As libjpeg's
     ``jpeg_make_d_derived_tbl`` does, only a table a scan uses is checked for
     an overfull code and, for DC, a value above 15."""
     if (0, dc_dest) not in tables or (1, ac_dest) not in tables:
@@ -137,7 +137,7 @@ def scan_tables(tables, dc_dest, ac_dest, channel):
 
 
 def _decode_table(lengths, values):
-    return {code: symbol for symbol, code in code_assignment(lengths, values)}
+    return {(length, code): symbol for symbol, code, length in code_assignment(lengths, values)}
 
 
 def _code_arrays(dest):
@@ -145,8 +145,8 @@ def _code_arrays(dest):
     by ``class * 256 + symbol``: DC symbols first, then AC."""
     codes, lengths = np.zeros(512, np.int64), np.zeros(512, np.int64)
     for cls in (0, 1):
-        for symbol, code in code_assignment(*DEFAULT_SPECS[cls, dest]):
-            codes[cls * 256 + symbol], lengths[cls * 256 + symbol] = int(code, 2), len(code)
+        for symbol, code, length in code_assignment(*DEFAULT_SPECS[cls, dest]):
+            codes[cls * 256 + symbol], lengths[cls * 256 + symbol] = code, length
     return codes, lengths
 
 
@@ -213,11 +213,11 @@ class BitReader:
         return value
 
     def decode_symbol(self, decode_map):
-        """The symbol of a {code: symbol} map whose code the next bits spell."""
-        code = ""
-        for _ in range(16):
-            code += "1" if self.read_bit() else "0"
-            symbol = decode_map.get(code)
+        """The symbol of a {(length, code): symbol} map the next bits spell."""
+        code = 0
+        for length in range(1, 17):
+            code = code << 1 | self.read_bit()
+            symbol = decode_map.get((length, code))
             if symbol is not None:
                 return symbol
         raise JpegFormatError("invalid Huffman code in entropy-coded data")
@@ -353,7 +353,7 @@ def _decode_block(reader, prev_dc, dc_map, ac_map):
 
 def decode_scan(data, pos, rows, cols, maps):
     """Decode a 3-component scan of rows x cols MCUs at ``data[pos]`` with each
-    component's (DC, AC) {code: symbol} maps; returns (each one's
+    component's (DC, AC) {(length, code): symbol} maps; returns (each one's
     (rows * cols, 64) natural-order array, the end position).
 
     Coefficients are int16, libjpeg's ``JCOEF``: an AC magnitude has at most

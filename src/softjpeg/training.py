@@ -16,7 +16,7 @@ from . import autodiff as ad
 from . import pipeline as pl
 from .autodiff import Tensor
 from .codec import quantize_grids, read_ppm, reconstruct_raster
-from .codec import JpegFormatError, tables_for_quality, transform_grids
+from .codec import JpegFormatError, PpmFormatError, tables_for_quality, transform_grids
 from .codec.jfif import check_frame
 from .editor import stem_forward
 from .losses import ALIGNMENT_WEIGHT, MIN_MSSSIM_SIDE, loss_terms, msssim_db, psnr_from_mse
@@ -412,7 +412,7 @@ def checkpoint_from_bytes(blob):
     named, end = load_tensors(blob)
     try:
         trailer = json.loads(blob[end:].decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
         raise CheckpointFormatError(f"unreadable checkpoint trailer: {exc}") from exc
     if not isinstance(trailer, dict) or trailer.get("format") != _CHECKPOINT_FORMAT:
         raise CheckpointFormatError(f"not a {_CHECKPOINT_FORMAT} checkpoint")
@@ -502,17 +502,18 @@ _CSV_ROW = "{image_id},{bpp:.6f},{psnr_db:.6f},{ssim:.6f},{msssim:.6f},{msssim_d
 
 
 def _read_eval_image(path):
-    """The PPM at ``path``; ValueError if MS-SSIM cannot measure it and
-    JpegFormatError if ``check_frame`` refuses its frame, each naming it."""
-    image = read_ppm(path)
-    height, width = image.shape[:2]
-    if min(height, width) < MIN_MSSSIM_SIDE:
-        raise ValueError(f"{path}: eval needs images of at least {MIN_MSSSIM_SIDE}x"
-                         f"{MIN_MSSSIM_SIDE} pixels for MS-SSIM, got {width}x{height}")
+    """The PPM at ``path``; PpmFormatError if it is no P6 PPM, ValueError if
+    MS-SSIM cannot measure it and JpegFormatError if ``check_frame`` refuses
+    its frame, each naming it."""
     try:
+        image = read_ppm(path)
+        height, width = image.shape[:2]
+        if min(height, width) < MIN_MSSSIM_SIDE:
+            raise ValueError(f"{path}: eval needs images of at least {MIN_MSSSIM_SIDE}x"
+                             f"{MIN_MSSSIM_SIDE} pixels for MS-SSIM, got {width}x{height}")
         check_frame(height, width)
-    except JpegFormatError as exc:
-        raise JpegFormatError(f"{path}: {exc}") from None
+    except (PpmFormatError, JpegFormatError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     return image
 
 
@@ -522,9 +523,10 @@ def evaluate(checkpoint, data_dir, csv_out=None):
     The baseline row is measured on the raster ``reconstruct_raster`` makes
     from the matched quality's quantized grids, bit for bit what decoding
     that quality's stream gives.  Every image is read and checked before
-    the first forward pass: one under ``MIN_MSSSIM_SIDE`` pixels on a side
-    raises ValueError, and one whose frame ``check_frame`` refuses raises
-    JpegFormatError, naming its file, before any image is evaluated.
+    the first forward pass: one that is no P6 PPM raises PpmFormatError, one
+    under ``MIN_MSSSIM_SIDE`` pixels on a side ValueError, and one whose
+    frame ``check_frame`` refuses JpegFormatError, each naming its file,
+    before any image is evaluated.
     Returns the row dicts (two per image); optionally writes them as CSV in
     the ``CSV_HEADER`` schema.
     """

@@ -150,7 +150,10 @@ def conv2d_keeping_columns(x, w, bias=None, stride=1, padding=0, band_rows=None)
 _MAGNITUDES = {0: (0, ""), **{extend_magnitude(bits, cat): (cat, format(bits, f"0{cat}b"))
                               for cat in range(1, 12) for bits in range(1 << cat)}}
 
-_CODES = {key: dict(code_assignment(*spec)) for key, spec in DEFAULT_SPECS.items()}
+# The default tables' {symbol: code} maps, each code a '0'/'1' string.
+CODES = {key: {symbol: format(code, f"0{length}b")
+               for symbol, code, length in code_assignment(*spec)}
+         for key, spec in DEFAULT_SPECS.items()}
 
 
 def _encode_block(bits, zz, prev_dc, dc_codes, ac_codes):
@@ -184,7 +187,7 @@ def encode_scan_per_symbol(blocks, dests):
     """``codec.huffman.encode_scan`` one code string at a time: the stuffed
     scan of each component's (rows, cols, 8, 8) blocks, coded with the
     default tables of ``dests``."""
-    tables = [(_CODES[0, dest], _CODES[1, dest]) for dest in dests]
+    tables = [(CODES[0, dest], CODES[1, dest]) for dest in dests]
     bits = []
     prev_dc = [0] * len(blocks)
     zigzagged = [b.reshape(-1, 64)[:, ZIGZAG].astype(np.int64).tolist() for b in blocks]

@@ -199,6 +199,17 @@ def test_eval_on_a_frame_too_large_to_code_exits_3_naming_it(trained, tmp_path, 
     assert f"invalid input data: {data / 'wide.ppm'}: frame declares 200x176 pixels" in err
 
 
+def test_eval_on_a_file_that_is_not_a_p6_ppm_exits_3_naming_it(trained, tmp_path, capsys):
+    _, ckpt = trained
+    data = tmp_path / "eval-data"
+    data.mkdir()
+    (data / "bad.ppm").write_bytes(b"P5\n2 2\n255\n" + bytes(4))
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                 "--csv", str(tmp_path / "m.csv")]) == 3
+    err = capsys.readouterr().err
+    assert f"invalid input data: {data / 'bad.ppm'}: not a binary PPM (P6) file" in err
+
+
 @pytest.mark.parametrize("keep", [3, 100, 0.5])
 def test_truncated_checkpoint_exits_3(trained, tmp_path, capsys, keep):
     _, ckpt = trained
@@ -207,6 +218,15 @@ def test_truncated_checkpoint_exits_3(trained, tmp_path, capsys, keep):
     cut.write_bytes(blob[: int(len(blob) * keep) if keep < 1 else keep])
     assert main(["qtable", "--checkpoint", str(cut)]) == 3
     assert "invalid input data" in capsys.readouterr().err
+
+
+def test_checkpoint_trailer_nested_too_deep_exits_3(trained, tmp_path, capsys):
+    _, ckpt = trained
+    blob = ckpt.read_bytes()
+    deep = tmp_path / "deep.ckpt"
+    deep.write_bytes(blob[: tr.load_tensors(blob)[1]] + b"[" * 100_000 + b"]" * 100_000)
+    assert main(["qtable", "--checkpoint", str(deep)]) == 3
+    assert "invalid input data: unreadable checkpoint trailer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["qtable", "encode"])
@@ -233,6 +253,18 @@ def test_config_with_unknown_key_exits_1(tmp_path, capsys):
     assert main(["train", "--data", str(data), "--config", str(cfg_path),
                  "--out", str(tmp_path / "model.ckpt")]) == 1
     assert "stepz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, '{"steps": 1'],
+                         ids=["nested-too-deep", "truncated"])
+def test_config_that_is_not_json_exits_1_naming_it(tmp_path, capsys, text):
+    data = tmp_path / "data"
+    data.mkdir()
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(text)
+    assert main(["train", "--data", str(data), "--config", str(cfg_path),
+                 "--out", str(tmp_path / "model.ckpt")]) == 1
+    assert f"softjpeg: error: {cfg_path}: unreadable config JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

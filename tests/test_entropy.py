@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from softjpeg.codec import (
@@ -27,18 +27,15 @@ from softjpeg.codec.huffman import (
     DEFAULT_SPECS,
     ZIGZAG,
     BitReader,
+    _decode_table,
     code_assignment,
     decode_scan,
     encode_scan,
     extend_magnitude,
+    scan_tables,
 )
 from softjpeg.codec.jfif import MAX_PIXELS
-from tests.reference import encode_scan_per_symbol, reconstruct_raster_per_row
-
-# The default tables' {symbol: code} maps, and their {code: symbol} inverses.
-CODES = {key: dict(code_assignment(*spec)) for key, spec in DEFAULT_SPECS.items()}
-DECODE_MAPS = {key: {code: symbol for symbol, code in codes.items()}
-               for key, codes in CODES.items()}
+from tests.reference import CODES, encode_scan_per_symbol, reconstruct_raster_per_row
 
 
 def scan_bytes(bits):
@@ -71,7 +68,7 @@ def test_encoded_scan_stuffs_every_ff_byte_and_decodes_back():
     ff = [i for i, byte in enumerate(scan) if byte == 0xFF]
     assert len(ff) > 10
     assert all(scan[i + 1] == 0x00 for i in ff)
-    maps = [(DECODE_MAPS[0, dest], DECODE_MAPS[1, dest]) for dest in dests]
+    maps = [scan_tables(DEFAULT_SPECS, dest, dest, channel) for channel, dest in enumerate(dests)]
     decoded, end = decode_scan(scan, 0, 3, 4, maps)
     assert end == len(scan)
     for a, b in zip(blocks, decoded):
@@ -196,12 +193,49 @@ def test_magnitude_bits_have_their_category_length_and_extend_back():
 
 def test_default_codes_are_prefix_free_and_as_long_as_their_size():
     for lengths, values in DEFAULT_SPECS.values():
-        codes = [code for _, code in code_assignment(lengths, values)]
+        codes = [format(code, f"0{length}b")
+                 for _, code, length in code_assignment(lengths, values)]
         sizes = [size for size, count in enumerate(lengths, start=1) for _ in range(count)]
         assert [len(code) for code in codes] == sizes
         assert set("".join(codes)) == {"0", "1"}
         for a in codes:
             assert not any(b != a and b.startswith(a) for b in codes)
+
+
+@st.composite
+def huffman_specs(draw):
+    """A (lengths, values) spec that code_assignment accepts: up to 256
+    distinct values, each length holding no more codes than leave its
+    all-1s code unused."""
+    counts, code, total = [], 0, 0
+    for size in range(1, 17):
+        room = min((1 << size) - 1 - code, 256 - total)
+        counts.append(draw(st.integers(0, room)))
+        total += counts[-1]
+        code = (code + counts[-1]) << 1
+    assume(total)
+    values = draw(st.permutations(range(256)))[:total]
+    return bytes(counts), bytes(values)
+
+
+@given(huffman_specs())
+@example((bytes(15) + b"\x01", b"\x07"))  # one code: sixteen 0-bits
+@example((bytes(7) + bytes([254, 2]) + bytes(7), bytes(range(256))))  # 256 values
+@settings(max_examples=200, deadline=None)
+def test_every_assigned_code_decodes_back_to_its_symbol(spec):
+    # Canonical codes of any length 1-16, as libjpeg's optimized tables use
+    # them: each decodes to its own symbol, and no code is sixteen 1-bits.
+    lengths, values = spec
+    assigned = list(code_assignment(lengths, values))
+    assert [symbol for symbol, _, _ in assigned] == list(values)
+    assert [length for _, _, length in assigned] == [
+        size for size, count in enumerate(lengths, start=1) for _ in range(count)]
+    table = _decode_table(lengths, values)
+    reader = BitReader(scan_bytes("".join(format(code, f"0{length}b")
+                                          for _, code, length in assigned)))
+    assert [reader.decode_symbol(table) for _ in assigned] == list(values)
+    with pytest.raises(JpegFormatError, match="^invalid Huffman code"):
+        BitReader(b"\xff\x00\xff\x00").decode_symbol(table)
 
 
 def test_overfull_huffman_table_rejected_as_by_libjpeg(natural_image, stock_decode):

@@ -14,7 +14,7 @@ from softjpeg import pipeline as pl
 from softjpeg import training as tr
 from softjpeg.autodiff import Tensor
 from softjpeg.codec import bits_per_pixel, decode_baseline, encode_baseline, tables_for_quality
-from softjpeg.codec import JpegFormatError, jfif, write_ppm
+from softjpeg.codec import JpegFormatError, PpmFormatError, jfif, write_ppm
 from softjpeg.training import CSV_HEADER, CheckpointFormatError, LossConfig, load_tensors
 from tests.conftest import make_natural_image
 
@@ -293,11 +293,12 @@ def top_level_step(trailer, value):
         lambda trailer: trailer.replace(b'"beta2": 0.999', b'"beta2": 1.0'),
         lambda trailer: trailer.replace(b'"eps": 1e-08', b'"eps": 0'),
         lambda trailer: trailer.replace(b'"eps": 1e-08', b'"eps": -1'),
+        lambda trailer: b"[" * 100_000 + b"]" * 100_000,
     ],
     ids=["not-an-object", "not-utf8", "missing-step", "unknown-config-key", "zero-hidden-size",
          "step-not-an-int", "step-not-the-adam-step", "negative-step", "adam-scalar-not-a-number",
          "adam-beta1-nan", "adam-beta2-minus-infinity", "adam-eps-infinity", "adam-beta1-one",
-         "adam-beta2-one", "adam-eps-zero", "adam-eps-negative"],
+         "adam-beta2-one", "adam-eps-zero", "adam-eps-negative", "nested-too-deep"],
 )
 def test_malformed_checkpoint_trailer_raises_checkpoint_format_error(init_checkpoint, edit):
     blob = init_checkpoint
@@ -438,6 +439,18 @@ def test_evaluate_names_a_frame_too_large_to_code_before_its_forward_pass(eval_s
     with mock.patch.object(pl, "forward", wraps=pl.forward) as forward:
         with pytest.raises(JpegFormatError, match=r"b\.ppm: frame declares 200x176 pixels, "
                                                   r"more than the 30976-pixel limit"):
+            tr.evaluate(ckpt, data_dir)
+    assert forward.call_count == 0  # b.ppm is checked before a.ppm is evaluated
+
+
+def test_evaluate_names_a_file_that_is_not_a_p6_ppm_before_its_forward_pass(eval_setup):
+    ckpt, _, tmp = eval_setup
+    data_dir = tmp / "not-p6"
+    data_dir.mkdir()
+    write_ppm(data_dir / "a.ppm", make_natural_image(176, 176, seed=59))
+    (data_dir / "b.ppm").write_bytes(b"P5\n2 2\n255\n" + bytes(4))
+    with mock.patch.object(pl, "forward", wraps=pl.forward) as forward:
+        with pytest.raises(PpmFormatError, match=r"b\.ppm: not a binary PPM \(P6\) file"):
             tr.evaluate(ckpt, data_dir)
     assert forward.call_count == 0  # b.ppm is checked before a.ppm is evaluated
 
