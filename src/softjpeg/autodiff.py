@@ -373,8 +373,8 @@ def _image_columns(x, kh, kw, stride, padding, Ho, Wo, band):
             yield b, slice(r0 * Wo, (r0 + rows) * Wo), cols.reshape(-1, rows * Wo)
 
 
-def conv2d(x, w, bias=None, stride=1, padding=0):
-    """2D convolution: x (B, C, H, W) with kernels w (O, C, kh, kw).
+def conv2d(x, w, bias, stride=1, padding=0):
+    """2D convolution: x (B, C, H, W) with kernels w (O, C, kh, kw) and bias (O,).
 
     It works one image at a time.  The forward pass builds an image's im2col
     columns one band of output rows at a time, ``BAND_BYTES`` of them at
@@ -396,7 +396,7 @@ def conv2d(x, w, bias=None, stride=1, padding=0):
     """
     if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeError("conv2d", x.shape, w.shape)
-    if bias is not None and bias.shape != (w.shape[0],):
+    if bias.shape != (w.shape[0],):
         raise ShapeError("conv2d bias", bias.shape, (w.shape[0],))
     B, C, H, W = x.shape
     O, _, kh, kw = w.shape
@@ -413,8 +413,7 @@ def conv2d(x, w, bias=None, stride=1, padding=0):
     band = max(1, BAND_BYTES // (wf.shape[1] * Wo * 8))
     for b, span, cols in _image_columns(xd, kh, kw, s, p, Ho, Wo, band):
         np.matmul(wf, cols, out=flat[b, :, span])
-    if bias is not None:
-        out += bias.data[:, None, None]
+    out += bias.data[:, None, None]
 
     def vjp_x(g):
         dx = np.empty((B, C, H, W))
@@ -437,7 +436,5 @@ def conv2d(x, w, bias=None, stride=1, padding=0):
             dw += gf[b] @ cols.T
         return dw.reshape(w_shape)
 
-    pairs = [(x, vjp_x), (w, vjp_w)]
-    if bias is not None:
-        pairs.append((bias, lambda g: g.sum(axis=(0, 2, 3))))
-    return _result(out, "conv2d", pairs)
+    return _result(out, "conv2d",
+                   [(x, vjp_x), (w, vjp_w), (bias, lambda g: g.sum(axis=(0, 2, 3)))])

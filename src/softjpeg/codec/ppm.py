@@ -52,11 +52,13 @@ def decode_ppm(data):
 
 
 def encode_ppm(image):
-    image = np.asarray(image, dtype=np.uint8)
+    image = np.asarray(image)
     if image.ndim != 3 or image.shape[2] != 3:
         raise ValueError(f"expected an (H, W, 3) array, got shape {image.shape}")
+    if not np.all((image >= 0) & (image <= 255) & (image == np.round(image))):
+        raise ValueError("PPM samples must be integers in 0..255")
     height, width = image.shape[:2]
-    return b"P6\n%d %d\n255\n" % (width, height) + image.tobytes()
+    return b"P6\n%d %d\n255\n" % (width, height) + image.astype(np.uint8).tobytes()
 
 
 def read_ppm(path):
@@ -65,5 +67,6 @@ def read_ppm(path):
 
 
 def write_ppm(path, image):
+    data = encode_ppm(image)  # before the file is created: a bad raster leaves none
     with open(path, "wb") as fh:
-        fh.write(encode_ppm(image))
+        fh.write(data)

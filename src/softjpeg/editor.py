@@ -3,10 +3,10 @@
 A small stride-8 convolutional stem maps an image to one 128-channel feature
 site per 8x8 block; the site is reshaped to two 8x8 maps (one luminance, one
 chrominance).  A multiplicative recurrent refiner iterates each map a fixed
-number of steps, and a k-winners-take-all projection turns the hidden state
-into sparse per-block edit values.  The encoder and decoder paths share the
-refiner parameters; the decoder has no stem and instead derives its input
-maps from dequantized coefficients.
+number of steps from a zero state, its first step z_1 = tanh(H Wz), and a
+k-winners-take-all projection turns the state into sparse per-block edit
+values.  The decoder shares the refiner but has no stem: its input maps come
+from dequantized coefficients.
 """
 
 from dataclasses import dataclass, fields
@@ -133,29 +133,28 @@ def split_edit_maps(features):
     return h_l, h_c
 
 
-def refine(h_map, z0, params, steps):
-    """Iterate the multiplicative recurrence ``steps`` times.
-
-    f_k = (H @ Wf) * (z_{k-1} @ Vf);  z_k = tanh(f_k @ Vz + H @ Wz).
-    ``h_map`` is (N, 64), ``z0`` (N, h).  steps == 0 returns z0 unchanged.
+def refine(h_map, params, steps):
+    """Iterate f_k = (H @ Wf) * (z_{k-1} @ Vf);  z_k = tanh(f_k @ Vz + H @ Wz)
+    ``steps`` times from z_0 = 0, so z_1 = tanh(H @ Wz).  ``h_map`` is (N, 64);
+    the result is (N, h), zeros for steps == 0.
     """
     if steps < 0:
         raise ValueError(f"refine steps must be nonnegative, got {steps}")
-    if h_map.shape[1] != params.Wf.shape[0] or z0.shape[1] != params.hidden_size:
-        raise ad.ShapeError("refine", h_map.shape, z0.shape)
+    if h_map.shape[1] != params.Wf.shape[0]:
+        raise ad.ShapeError("refine", h_map.shape, params.Wf.shape)
+    if steps == 0:
+        return ad.zeros((h_map.shape[0], params.hidden_size))
     gate = ad.matmul(h_map, params.Wf)
     drive = ad.matmul(h_map, params.Wz)
-    z = z0
-    for _ in range(steps):
+    z = ad.tanh(drive)
+    for _ in range(steps - 1):
         f = ad.hadamard_mul(gate, ad.matmul(z, params.Vf))
         z = ad.tanh(ad.add(ad.matmul(f, params.Vz), drive))
     return z
 
 
 def _scores_from_map(h_map, refiner, k, steps):
-    z0 = ad.zeros((h_map.shape[0], refiner.hidden_size))
-    z = refine(h_map, z0, refiner, steps)
-    return kwta(ad.matmul(z, refiner.U), k)
+    return kwta(ad.matmul(refine(h_map, refiner, steps), refiner.U), k)
 
 
 def edit_scores(image, stem, refiner, k, steps):

@@ -171,11 +171,12 @@ def poly_decay(lr0, lr_end, step, total, power):
     return (lr0 - lr_end) * frac**power + lr_end
 
 
-def adam_step(named_params, state, lr, lr_scales=None):
+def adam_step(named_params, state, lr, lr_scales):
     """Bias-corrected Adam update in place; returns the updated state.
 
-    ``lr_scales`` optionally maps parameter names to multipliers on the
-    learning rate (used to keep the table parameters at their own scale).
+    ``lr_scales`` maps parameter names to multipliers on the learning rate
+    (used to keep the table parameters at their own scale); a name it lacks
+    takes ``lr`` as it is.
     Parameters without a gradient are left untouched (their moments decay).
     """
     state.step += 1
@@ -192,8 +193,7 @@ def adam_step(named_params, state, lr, lr_scales=None):
         state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
         m_hat = state.m[name] / bc1
         v_hat = state.v[name] / bc2
-        step_lr = lr * (lr_scales.get(name, 1.0) if lr_scales else 1.0)
-        t.data -= step_lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        t.data -= lr * lr_scales.get(name, 1.0) * m_hat / (np.sqrt(v_hat) + state.eps)
     return state
 
 

@@ -1,4 +1,3 @@
-import io
 import os
 import subprocess
 import tracemalloc
@@ -85,24 +84,11 @@ def libjpeg_decode(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def stock_decode(request):
-    """Decode a JFIF stream to an (H, W, 3) raster with a stock decoder.
-
-    Pillow when it is installed; otherwise ``libjpeg_decode``.  Tests that
-    use this skip, with the reason, when neither is available.
-    """
-    try:
-        from PIL import Image
-    except ImportError:
-        pass
-    else:
-        def pillow_decode(stream):
-            with Image.open(io.BytesIO(stream)) as image:
-                return np.asarray(image.convert("RGB"))
-
-        return pillow_decode
-
-    return request.getfixturevalue("libjpeg_decode")
+def stock_decode(libjpeg_decode):
+    """Decode a JFIF stream to an (H, W, 3) raster with a stock decoder: the
+    system libjpeg, through ``libjpeg_decode``.  Tests that use this skip,
+    with the reason, when that client cannot be built."""
+    return libjpeg_decode
 
 
 @pytest.fixture(scope="session")

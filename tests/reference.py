@@ -95,7 +95,7 @@ def kwta_stable_argsort(values, k):
 
 
 
-def conv2d_keeping_columns(x, w, bias=None, stride=1, padding=0, band_rows=None):
+def conv2d_keeping_columns(x, w, bias, stride=1, padding=0, band_rows=None):
     """``autodiff.conv2d`` with its im2col columns filled tap by tap and kept
     for the kernel gradient.  With ``band_rows`` the forward GEMM runs per
     image on bands of that many output rows of the kept columns, as
@@ -124,8 +124,7 @@ def conv2d_keeping_columns(x, w, bias=None, stride=1, padding=0, band_rows=None)
                 r1 = min(Ho, r0 + band_rows)
                 band = np.ascontiguousarray(cols2[b, :, r0 * Wo : r1 * Wo])
                 out[b, :, r0:r1] = (wf @ band).reshape(O, r1 - r0, Wo)
-    if bias is not None:
-        out = out + bias.data[None, :, None, None]
+    out = out + bias.data[None, :, None, None]
 
     def vjp_x(g):
         dcols = np.matmul(wf.T, g.reshape(B, O, Ho * Wo)).reshape(B, C, kh, kw, Ho, Wo)
@@ -139,10 +138,8 @@ def conv2d_keeping_columns(x, w, bias=None, stride=1, padding=0, band_rows=None)
         gf = g.reshape(B, O, Ho * Wo)
         return np.matmul(gf, cols2.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
 
-    pairs = [(x, vjp_x), (w, vjp_w)]
-    if bias is not None:
-        pairs.append((bias, lambda g: g.sum(axis=(0, 2, 3))))
-    return ad._result(out, "conv2d", pairs)
+    return ad._result(out, "conv2d", [(x, vjp_x), (w, vjp_w),
+                                      (bias, lambda g: g.sum(axis=(0, 2, 3)))])
 
 # Every value a baseline scan codes, -2047..2047, to its (category, magnitude
 # bits) (T.81 F.1.2.1), the inverse of EXTEND: a negative value's bits are the

@@ -71,12 +71,13 @@ def test_gradients_reach_only_leaves_that_require_them():
     image = Tensor(rng.normal(size=(1, 2, 5, 5)))
     x = leaf(rng.normal(size=(2, 4)))
     w = leaf(rng.normal(size=(3, 2, 3, 3)))
+    bias = Tensor(rng.normal(size=3))
     h = ad.matmul(x, const)
-    y = ad.conv2d(image, w)
+    y = ad.conv2d(image, w, bias)
     sq = ad.hadamard_mul(x, x)
     loss = ad.add(ad.add(ad.reduce_mean(h), ad.reduce_mean(y)), ad.reduce_mean(sq))
     ad.backward(loss)
-    for t in (const, image, h, y, sq, loss):
+    for t in (const, image, bias, h, y, sq, loss):
         assert t.grad is None, t.op
     # sq is x's last consumer, so its terms (a's, then b's) come first.
     g_sq = np.full(x.shape, 1.0 / x.size)
@@ -142,9 +143,10 @@ def test_desk_scale_graph_keeps_only_what_its_vjps_read():
         live = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # Holding every forward value read 72.6 MiB here, and keeping conv2d's
-    # im2col columns 40.0 MiB.
-    assert live < 34 * 2**20, f"live graph {live / 2**20:.1f} MiB"
+    # Holding every forward value read 72.6 MiB here, keeping conv2d's
+    # im2col columns 40.0 MiB, and running the refiner's first step in full
+    # from a zero state 31.3 MiB.
+    assert live < 30 * 2**20, f"live graph {live / 2**20:.1f} MiB"
     ad.backward(loss)
     assert all(t.grad is not None for t in params.named().values())
 
@@ -159,8 +161,9 @@ def test_desk_scale_backward_peak_stays_bounded():
     finally:
         tracemalloc.stop()
     # Keeping conv2d's im2col columns read 52.8 MiB here, and building them,
-    # their gradient and a padded input for the whole batch at once 46.5 MiB.
-    assert peak < 42 * 2**20, f"backward peak {peak / 2**20:.1f} MiB"
+    # their gradient and a padded input for the whole batch at once 46.5 MiB,
+    # and running the refiner's first step in full from a zero state 38.4 MiB.
+    assert peak < 38 * 2**20, f"backward peak {peak / 2**20:.1f} MiB"
 
 
 def test_conv2d_temporaries_are_one_image_at_a_time():

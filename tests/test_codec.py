@@ -1,4 +1,3 @@
-import io
 import re
 
 import numpy as np
@@ -21,6 +20,7 @@ from softjpeg.codec import (
     quantize_grids,
     tables_for_quality,
     transform_grids,
+    write_ppm,
 )
 from softjpeg.losses import psnr
 from tests.conftest import traced_peak
@@ -36,23 +36,12 @@ def test_decode_matches_reference_decoder_within_one(natural_image, stock_decode
             assert np.abs(ours.astype(int) - ref.astype(int)).max() <= 1
 
 
-def test_decode_of_reference_encoder_output_matches(natural_image, stock_decode, request):
-    # The independent encoder's 4:4:4 baseline output must decode here with
-    # at most one level of disagreement against a stock decoder.  The encoder
-    # is Pillow's when it is installed, else the system libjpeg's.
-    try:
-        from PIL import Image
-    except ImportError:
-        encode = request.getfixturevalue("libjpeg_encode")
-    else:
-        def encode(img, quality):
-            buf = io.BytesIO()
-            Image.fromarray(img).save(buf, format="JPEG", quality=quality, subsampling=0)
-            return buf.getvalue()
-
+def test_decode_of_reference_encoder_output_matches(natural_image, stock_decode, libjpeg_encode):
+    # The system libjpeg's 4:4:4 baseline output must decode here with at
+    # most one level of disagreement against a stock decoder.
     img = natural_image(120, 184, seed=7)
     for quality in (50, 90):
-        stream = encode(img, quality)
+        stream = libjpeg_encode(img, quality)
         ours = decode_baseline(stream)
         ref = stock_decode(stream)
         assert np.abs(ours.astype(int) - ref.astype(int)).max() <= 1
@@ -193,7 +182,18 @@ def test_encoders_name_a_raster_shape_they_cannot_code(shape):
 
 def test_ppm_roundtrip(natural_image):
     img = natural_image(33, 47, seed=13)
-    assert np.array_equal(decode_ppm(encode_ppm(img)), img)
+    for dtype in (np.uint8, np.int64, np.float64):
+        assert np.array_equal(decode_ppm(encode_ppm(img.astype(dtype))), img)
+
+
+@pytest.mark.parametrize("samples", [[[[300, -1, 7]]], [[[300.0, -1.0, 7.0]]], [[[256, 0, 0]]],
+                                     [[[0.5, 0, 0]]], [[[np.nan, 0, 0]]], [[[-np.inf, 0, 0]]]])
+def test_ppm_rejects_samples_it_cannot_store(samples, tmp_path):
+    with pytest.raises(ValueError, match="integers in 0..255"):
+        encode_ppm(np.array(samples))
+    with pytest.raises(ValueError, match="integers in 0..255"):
+        write_ppm(tmp_path / "bad.ppm", np.array(samples))
+    assert not (tmp_path / "bad.ppm").exists()
 
 
 def test_ppm_header_comments_and_whitespace():

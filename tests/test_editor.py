@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softjpeg import autodiff as ad
 from softjpeg import editor
@@ -12,13 +14,14 @@ def zero_refiner(h=4):
                                 Wz=zeros(64, h), U=zeros(h, 64))
 
 
-def straight_line_refine(h_map, z0, params, steps):
-    """Independent per-row implementation of the two update equations."""
+def straight_line_refine(h_map, params, steps):
+    """Independent per-row implementation of the two update equations,
+    every step in full from z = 0."""
     Wf, Vf, Vz, Wz = (p.data for p in (params.Wf, params.Vf, params.Vz, params.Wz))
     out = []
     for row in range(h_map.shape[0]):
         H = h_map[row]
-        z = z0[row].copy()
+        z = np.zeros(Vf.shape[0])
         for _ in range(steps):
             f = (H @ Wf) * (z @ Vf)
             z = np.tanh(f @ Vz + H @ Wz)
@@ -30,15 +33,14 @@ def test_zero_weights_give_zero_state():
     params = zero_refiner()
     h_map = Tensor(np.random.default_rng(0).uniform(0, 1, (5, 64)))
     for steps in (1, 3, 7):
-        z = editor.refine(h_map, ad.zeros((5, 4)), params, steps)
+        z = editor.refine(h_map, params, steps)
         assert np.all(z.data == 0.0)
 
 
 def test_scalar_case_single_step_is_tanh_half():
     ones = lambda: Tensor(np.ones((1, 1)))
-    params = editor.RefinerParams(Wf=ones(), Vf=ones(), Vz=ones(),
-                                  Wz=Tensor(np.zeros((1, 1))), U=ones())
-    z1 = editor.refine(Tensor([[0.5]]), Tensor([[1.0]]), params, 1)
+    params = editor.RefinerParams(Wf=ones(), Vf=ones(), Vz=ones(), Wz=ones(), U=ones())
+    z1 = editor.refine(Tensor([[0.5]]), params, 1)
     assert abs(z1.data[0, 0] - np.tanh(0.5)) < 1e-12
     assert abs(z1.data[0, 0] - 0.46212) < 1e-5
 
@@ -46,32 +48,33 @@ def test_scalar_case_single_step_is_tanh_half():
 def test_zero_steps_returns_initial_state():
     rng = np.random.default_rng(1)
     params = editor.init_refiner(rng, hidden_size=8)
-    z0 = Tensor(rng.normal(size=(3, 8)))
-    out = editor.refine(Tensor(rng.uniform(0, 1, (3, 64))), z0, params, 0)
-    assert out is z0
+    out = editor.refine(Tensor(rng.uniform(0, 1, (3, 64))), params, 0)
+    assert out.shape == (3, 8) and np.all(out.data == 0.0)
 
 
 def test_negative_steps_rejected():
     params = editor.init_refiner(np.random.default_rng(0), 8)
     with pytest.raises(ValueError):
-        editor.refine(Tensor(np.zeros((1, 64))), Tensor(np.zeros((1, 8))), params, -1)
+        editor.refine(Tensor(np.zeros((1, 64))), params, -1)
 
 
 def test_refine_shape_mismatch_is_structured():
     params = editor.init_refiner(np.random.default_rng(0), 8)
     with pytest.raises(ad.ShapeError, match="refine"):
-        editor.refine(Tensor(np.zeros((1, 64))), Tensor(np.zeros((1, 5))), params, 1)
+        editor.refine(Tensor(np.zeros((1, 63))), params, 1)
 
 
-def test_refine_matches_straight_line_oracle():
-    rng = np.random.default_rng(12)
-    params = editor.init_refiner(rng, hidden_size=16)
-    h_map = rng.uniform(0, 1, (7, 64))
-    z0 = rng.normal(size=(7, 16)) * 0.3
-    for steps in (1, 3, 5):
-        ours = editor.refine(Tensor(h_map), Tensor(z0), params, steps).data
-        oracle = straight_line_refine(h_map, z0, params, steps)
-        assert np.abs(ours - oracle).max() < 1e-12
+@given(rows=st.integers(1, 9), hidden=st.integers(1, 24), steps=st.integers(0, 5),
+       seed=st.integers(0, 2**32 - 1))
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_refine_matches_straight_line_oracle(rows, hidden, steps, seed):
+    rng = np.random.default_rng(seed)
+    params = editor.init_refiner(rng, hidden_size=hidden)
+    h_map = rng.uniform(-1, 1, (rows, 64))
+    ours = editor.refine(Tensor(h_map), params, steps).data
+    oracle = straight_line_refine(h_map, params, steps)
+    assert ours.shape == (rows, hidden)
+    assert np.abs(ours - oracle).max() < 1e-12
 
 
 # --- stem ----------------------------------------------------------------------
@@ -173,7 +176,7 @@ def test_decoder_side_scores_share_refiner_weights():
     assert (np.count_nonzero(c_dec.data, axis=1) <= 8).all()
     # the H input is the scaled coefficients, so values beyond +-1024 saturate
     h = np.clip(dequant.data / 1024.0, -1.0, 1.0)
-    oracle = straight_line_refine(h, np.zeros((4, 16)), refiner, 3)
+    oracle = straight_line_refine(h, refiner, 3)
     proj = oracle @ refiner.U.data
     keep = np.argsort(-np.abs(proj), axis=1, kind="stable")[:, :8]
     expect = np.zeros_like(proj)

@@ -59,27 +59,29 @@ def test_poly_decay_rejects_bad_power():
 
 def test_adam_first_step_moves_by_lr():
     t = Tensor(np.full((3, 3), 5.0), requires_grad=True)
-    t.grad = np.ones((3, 3))
-    state = tr.init_adam({"w": t})
-    tr.adam_step({"w": t}, state, lr=0.1)
+    u = Tensor(np.full((2,), 5.0), requires_grad=True)
+    t.grad, u.grad = np.ones((3, 3)), np.ones((2,))
+    state = tr.init_adam({"w": t, "u": u})
+    tr.adam_step({"w": t, "u": u}, state, lr=0.1, lr_scales={"u": 0.5})
     assert np.allclose(t.data, 5.0 - 0.1, atol=1e-7)
+    assert np.allclose(u.data, 5.0 - 0.05, atol=1e-7)
 
 
 def test_adam_zero_gradient_keeps_params_and_decays_moments():
     t = Tensor(np.ones((2,)), requires_grad=True)
     t.grad = np.array([1.0, -1.0])
     state = tr.init_adam({"w": t})
-    tr.adam_step({"w": t}, state, lr=0.01)
+    tr.adam_step({"w": t}, state, lr=0.01, lr_scales={})
     after_first = t.data.copy()
     m_prev = state.m["w"].copy()
     t.grad = np.zeros((2,))
-    tr.adam_step({"w": t}, state, lr=0.01)
+    tr.adam_step({"w": t}, state, lr=0.01, lr_scales={})
     assert not np.array_equal(t.data, after_first)  # momentum keeps moving
     assert np.allclose(state.m["w"], 0.9 * m_prev)
     t.grad = None
     before = t.data.copy()
     for _ in range(500):
-        tr.adam_step({"w": t}, state, lr=0.01)
+        tr.adam_step({"w": t}, state, lr=0.01, lr_scales={})
     assert np.abs(t.data - before).max() < 0.2  # moments decay toward no-op
 
 
@@ -88,7 +90,7 @@ def test_adam_nonfinite_gradient_names_parameter():
     t.grad = np.array([1.0, np.nan])
     state = tr.init_adam({"stem.w1": t})
     with pytest.raises(ValueError, match="stem.w1"):
-        tr.adam_step({"stem.w1": t}, state, lr=0.1)
+        tr.adam_step({"stem.w1": t}, state, lr=0.1, lr_scales={})
 
 
 def test_table_pushed_below_lower_bound_clamps_exactly():
@@ -97,7 +99,7 @@ def test_table_pushed_below_lower_bound_clamps_exactly():
     params.tables.luma.data[...] = cfg.table_scale * 1.5
     params.tables.luma.grad = np.full((8, 8), 1e9)
     state = tr.init_adam(params.named())
-    tr.adam_step(params.named(), state, lr=1.0)
+    tr.adam_step(params.named(), state, lr=1.0, lr_scales={})
     params.tables.clamp_()
     assert np.all(params.tables.luma.data == cfg.table_scale)
 
