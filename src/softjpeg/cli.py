@@ -44,16 +44,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageExit()
 
 
-def _quality(text):
-    try:
-        q = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"quality must be an integer, got {text!r}")
-    if not 1 <= q <= 100:
-        raise argparse.ArgumentTypeError(f"quality must be in [1, 100], got {q}")
-    return q
-
-
 def build_parser():
     parser = _Parser(prog="softjpeg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -62,7 +52,7 @@ def build_parser():
     enc.add_argument("--input", required=True, help="input P6 PPM file")
     enc.add_argument("--output", required=True, help="output .jpg path")
     mode = enc.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--quality", type=_quality, help="baseline quality in [1, 100]")
+    mode.add_argument("--quality", type=int, help="baseline quality in [1, 100]")
     mode.add_argument("--checkpoint", help="use a trained checkpoint (learned tables + edits)")
 
     dec = sub.add_parser("decode", help="decode a baseline JFIF stream to P6 PPM")
@@ -86,10 +76,12 @@ def build_parser():
 
 
 def cmd_encode(args):
+    # The tables before the input: a bad quality exits 1 whatever the input.
+    tables = None if args.quality is None else tables_for_quality(args.quality)
     image = read_ppm(args.input)
     start = time.perf_counter()
-    if args.quality is not None:
-        stream = encode_baseline(image, tables_for_quality(args.quality))
+    if tables is not None:
+        stream = encode_baseline(image, tables)
     else:
         ckpt = tr.load_checkpoint(args.checkpoint)
         stream = pl.encode_stream(image, ckpt.params, ckpt.config.pipeline)

@@ -127,7 +127,9 @@ def scan_tables(tables, dc_dest, ac_dest, channel):
     ``code_assignment`` to its symbol, that scan component ``channel`` selects
     from ``tables``, parse_dht's tables by (class, destination).  As libjpeg's
     ``jpeg_make_d_derived_tbl`` does, only a table a scan uses is checked for
-    an overfull code and, for DC, a value above 15."""
+    an overfull code and, for DC, a value above 15, and an empty slot 0 or 1
+    takes its T.81 K.3 table from ``DEFAULT_SPECS``."""
+    tables = {**DEFAULT_SPECS, **tables}
     if (0, dc_dest) not in tables or (1, ac_dest) not in tables:
         raise JpegFormatError(f"missing Huffman tables for component {channel}")
     dc = _decode_table(*tables[0, dc_dest])

@@ -16,6 +16,7 @@ from .errors import CoefficientRangeError, JpegFormatError
 from .huffman import DC_PEAK, DEFAULT_SPECS, ZIGZAG, decode_scan, encode_scan, parse_dht
 from .huffman import scan_tables
 from .intdecode import integer_idct_samples, ycbcr_samples_to_rgb
+from .ppm import rgb_raster
 from .quant import QuantTablePair, quantize_blocks
 
 SOI = 0xD8
@@ -54,13 +55,14 @@ def check_frame(height, width):
 
 
 def check_raster(rgb):
-    """Raise ValueError, naming its shape, unless ``rgb`` is one (H, W, 3)
-    raster, and JpegFormatError unless ``check_frame`` takes its frame: the
-    check every encoder runs on its input before any work."""
-    shape = np.shape(rgb)
-    if len(shape) != 3 or shape[2] != 3:
-        raise ValueError(f"expected one (H, W, 3) raster, got shape {shape}")
-    check_frame(*shape[:2])
+    """``rgb_raster(rgb)``, once ``check_frame`` takes its frame: the check
+    every encoder runs on its input before any work.  The frame goes first,
+    so a raster too large to code raises JpegFormatError before any of its
+    samples is read."""
+    rgb = np.asarray(rgb)
+    if rgb.ndim == 3:
+        check_frame(*rgb.shape[:2])
+    return rgb_raster(rgb)
 
 
 def _segment(marker, payload):
@@ -251,7 +253,8 @@ def entropy_decode(data):
         elif marker == DHT:
             htables.update(parse_dht(payload))
         elif marker == DRI:
-            raise JpegFormatError("restart intervals are not supported")
+            if payload != b"\x00\x00":  # a 2-byte interval of 0 means no restarts
+                raise JpegFormatError("restart intervals are not supported")
         elif not (0xE0 <= marker <= 0xEF or marker == COM):  # APPn and COM are skipped
             raise JpegFormatError(f"unsupported marker 0xFF{marker:02X}")
     if frame is None:
@@ -308,8 +311,7 @@ def forward_grids(rgb, tables):
     The work runs one band of MCU rows at a time into the preallocated
     grids, so the float image and its planes never exist whole.  An input
     that ``check_raster`` refuses raises before any work."""
-    check_raster(rgb)
-    rgb = np.asarray(rgb)
+    rgb = check_raster(rgb)
     grids = _empty_grids(*rgb.shape[:2], np.int16)
     for band in mcu_row_bands(*grids[0].blocks.shape[:2]):
         _quantize_band(_transform_band(rgb, band), tables, grids, band)
@@ -320,8 +322,7 @@ def transform_grids(rgb):
     """The transform stage of ``forward_grids`` alone: float64 grids that
     ``quantize_grids`` turns into what ``forward_grids`` returns, so one
     image can be quantized with many tables but transformed once."""
-    check_raster(rgb)
-    rgb = np.asarray(rgb)
+    rgb = check_raster(rgb)
     grids = _empty_grids(*rgb.shape[:2], np.float64)
     for band in mcu_row_bands(*grids[0].blocks.shape[:2]):
         for plane, grid in zip(_transform_band(rgb, band), grids):

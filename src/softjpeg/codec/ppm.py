@@ -51,14 +51,27 @@ def decode_ppm(data):
     return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3).copy()
 
 
-def encode_ppm(image):
+def rgb_raster(image):
+    """``image`` as an (H, W, 3) uint8 raster, uncopied if it is one: the
+    rule for every raster input.  ValueError unless it is one non-empty
+    (H, W, 3) array of an integer or float dtype whose samples are integers
+    in 0..255, the samples of an 8-bit image (T.81 sample precision 8)."""
     image = np.asarray(image)
-    if image.ndim != 3 or image.shape[2] != 3:
-        raise ValueError(f"expected an (H, W, 3) array, got shape {image.shape}")
-    if not np.all((image >= 0) & (image <= 255) & (image == np.round(image))):
-        raise ValueError("PPM samples must be integers in 0..255")
+    if image.ndim != 3 or image.shape[2] != 3 or image.size == 0:
+        raise ValueError(f"expected one (H, W, 3) raster, got shape {image.shape}")
+    if image.dtype == np.uint8:
+        return image
+    # The dtype first: no comparison runs on a bool, complex, string or object sample.
+    if image.dtype.kind not in "iuf" or not np.all(
+            (image >= 0) & (image <= 255) & (image == np.round(image))):
+        raise ValueError("raster samples must be integers in 0..255")
+    return image.astype(np.uint8)
+
+
+def encode_ppm(image):
+    image = rgb_raster(image)
     height, width = image.shape[:2]
-    return b"P6\n%d %d\n255\n" % (width, height) + image.astype(np.uint8).tobytes()
+    return b"P6\n%d %d\n255\n" % (width, height) + image.tobytes()
 
 
 def read_ppm(path):

@@ -46,21 +46,25 @@ class QuantTablePair:
     chroma: np.ndarray
 
     def __post_init__(self):
-        self.luma = np.asarray(self.luma, dtype=np.int64).reshape(8, 8)
-        self.chroma = np.asarray(self.chroma, dtype=np.int64).reshape(8, 8)
-        for name, t in (("luma", self.luma), ("chroma", self.chroma)):
-            if t.min() < 1 or t.max() > 255:
-                raise ValueError(f"{name} table entries must lie in [1, 255]")
+        for name in ("luma", "chroma"):
+            # Checked before the int64 cast, which would truncate 1.5 to 1.
+            t = np.asarray(getattr(self, name))
+            if t.dtype.kind not in "iuf" or not np.all((t >= 1) & (t <= 255) & (t == np.round(t))):
+                raise ValueError(f"{name} table entries must be integers in [1, 255]")
+            setattr(self, name, t.astype(np.int64).reshape(8, 8))
 
     def for_channel(self, channel):
         return self.luma if channel == "Y" else self.chroma
 
 
 def tables_for_quality(quality):
-    """Scale the base tables with the conventional libjpeg quality formula."""
+    """Scale the base tables with the conventional libjpeg quality formula.
+    ``quality`` is a Python or numpy integer in 1..100, never a bool or a
+    float; anything else raises ValueError."""
+    if (isinstance(quality, bool) or not isinstance(quality, (int, np.integer))
+            or not 1 <= quality <= 100):
+        raise ValueError(f"quality must be an integer in 1..100, got {quality!r}")
     q = int(quality)
-    if not 1 <= q <= 100:
-        raise ValueError(f"quality must be in [1, 100], got {quality}")
     scale = 5000 // q if q < 50 else 200 - 2 * q
     luma = np.clip((LUMA_BASE_TABLE * scale + 50) // 100, 1, 255)
     chroma = np.clip((CHROMA_BASE_TABLE * scale + 50) // 100, 1, 255)

@@ -17,6 +17,7 @@ import numpy as np
 from . import pipeline as pl
 from . import training as tr
 from .codec import decode_baseline
+from .codec.ppm import rgb_raster
 from .training import LossConfig, TrainConfig
 
 
@@ -31,30 +32,12 @@ def _check_is_fitted(estimator):
         )
 
 
-def _check_rgb_image(image):
-    """Validate and return an (H, W, 3) uint8 raster."""
-    arr = np.asarray(image)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ValueError(f"expected an (H, W, 3) image, got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError("image must have at least one pixel")
-    if arr.dtype != np.uint8:
-        if np.issubdtype(arr.dtype, np.floating) and not np.all(arr == np.rint(arr)):
-            raise ValueError("float images must hold integral values in [0, 255]")
-        if arr.min() < 0 or arr.max() > 255:
-            raise ValueError("image values must lie in [0, 255]")
-        arr = arr.astype(np.uint8)
-    return np.ascontiguousarray(arr)
-
-
-def _check_image_list(X):
-    """Accept a single image or an iterable of images; return a list of rasters."""
-    if isinstance(X, np.ndarray) and X.ndim == 3:
-        return [_check_rgb_image(X)]
-    if isinstance(X, np.ndarray) and X.ndim == 4:
-        return [_check_rgb_image(img) for img in X]
+def _image_list(X):
+    """A single image, an array batch or a list of images, as a list."""
+    if isinstance(X, np.ndarray):
+        return list(X) if X.ndim == 4 else [X]
     if isinstance(X, (list, tuple)):
-        return [_check_rgb_image(img) for img in X]
+        return list(X)
     raise ValueError("expected an image, an array batch, or a list of images")
 
 
@@ -129,8 +112,10 @@ class LearnedJpeg:
             patches = tr.load_patches(X, config.patch_size, config.num_patches, config.seed)
         else:
             rng = np.random.default_rng(config.seed)
-            patches = tr.sample_patches(_check_image_list(X), config.patch_size,
-                                        config.num_patches, rng)
+            # No frame limit: a training crop may come from an image larger
+            # than one JFIF frame.
+            patches = tr.sample_patches([rgb_raster(img) for img in _image_list(X)],
+                                        config.patch_size, config.num_patches, rng)
         checkpoint, history = tr.train_on_patches(patches, config)
         self.params_ = checkpoint.params
         self.adam_ = checkpoint.adam
@@ -142,7 +127,7 @@ class LearnedJpeg:
         """Compress images into standard JFIF byte streams."""
         _check_is_fitted(self)
         return [pl.encode_stream(img, self.params_, self.config_.pipeline)
-                for img in _check_image_list(X)]
+                for img in _image_list(X)]
 
     def fit_transform(self, X, y=None):
         return self.fit(X, y).transform(X)

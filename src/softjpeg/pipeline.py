@@ -261,7 +261,7 @@ def forward(images, params, config, rounding="soft", measure_rate=False):
 def encode_stream(image, params, config):
     """Hard-round one (H, W, 3) image through the learned pipeline into a
     JFIF stream; ``check_raster`` refuses any other input before any work."""
-    check_raster(image)
+    image = check_raster(image)
     with ad.no_grad():
         quantized, _, geometry, height, width = _encode_rows(image, params, config, "hard")
     grids = hard_grids(quantized, geometry, height, width)[0]

@@ -78,17 +78,10 @@ def _build_libjpeg_client(tmp_path_factory, name, missing):
 def libjpeg_decode(tmp_path_factory):
     """Decode a JFIF stream to an (H, W, 3) raster with the system libjpeg
     through the ``refdecode.c`` client: ``decode(stream, env=None)``, where
-    ``env`` adds variables to the client's environment."""
+    ``env`` adds variables to the client's environment.  Tests that use this
+    skip, with the reason, when that client cannot be built."""
     run = _build_libjpeg_client(tmp_path_factory, "refdecode", "no libjpeg decoder")
     return lambda stream, env=None: decode_ppm(run(stream, env=env))
-
-
-@pytest.fixture(scope="session")
-def stock_decode(libjpeg_decode):
-    """Decode a JFIF stream to an (H, W, 3) raster with a stock decoder: the
-    system libjpeg, through ``libjpeg_decode``.  Tests that use this skip,
-    with the reason, when that client cannot be built."""
-    return libjpeg_decode
 
 
 @pytest.fixture(scope="session")

@@ -74,13 +74,13 @@ def smoke_run(smoke_patches):
 # --- criteria --------------------------------------------------------------------
 
 
-def test_codec_conformance_against_reference_decoder(stock_decode):
+def test_codec_conformance_against_reference_decoder(libjpeg_decode):
     start = time.perf_counter()
     for seed, (h, w) in [(7, (120, 184)), (11, (97, 131)), (23, (64, 200))]:
         image = make_natural_image(h, w, seed)
         for quality in (10, 50, 90):
             stream = encode_baseline(image, tables_for_quality(quality))
-            reference = stock_decode(stream)
+            reference = libjpeg_decode(stream)
             ours = decode_baseline(stream)
             peak = np.abs(ours.astype(int) - reference.astype(int)).max()
             assert peak <= 1, f"quality {quality}: max deviation {peak}"
@@ -275,12 +275,12 @@ def test_metric_exactness():
            "msssim_db(0.9) = 10 exactly")
 
 
-def test_interop_checkpoint_encode_stock_decodable(smoke_run, stock_decode):
+def test_interop_checkpoint_encode_stock_decodable(smoke_run, libjpeg_decode):
     checkpoint, _, _, _ = smoke_run
     image = make_natural_image(120, 184, seed=12)
     stream = pl.encode_stream(image, checkpoint.params, checkpoint.config.pipeline)
 
-    raster = stock_decode(stream)
+    raster = libjpeg_decode(stream)
     assert raster.shape == image.shape
     assert decode_baseline(stream).shape == image.shape
     report("interop: checkpoint-mode encode verified and decoded by a stock JPEG decoder, "

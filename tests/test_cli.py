@@ -54,6 +54,14 @@ def test_usage_errors_exit_1(workdir, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("quality", ["0", "101", "abc", "50.5"])
+def test_bad_quality_exits_1_before_the_input_is_read(tmp_path, capsys, quality):
+    assert main(["encode", "--input", str(tmp_path / "absent.ppm"),
+                 "--output", str(tmp_path / "o.jpg"), "--quality", quality]) == 1
+    assert "quality" in capsys.readouterr().err
+    assert not (tmp_path / "o.jpg").exists()
+
+
 def test_missing_input_exits_2(workdir, capsys):
     tmp, _, _ = workdir
     code = main(["encode", "--input", str(tmp / "absent.ppm"),

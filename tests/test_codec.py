@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from softjpeg import LearnedJpeg
 from softjpeg import pipeline as pl
 from softjpeg import training as tr
 from softjpeg.codec import (
@@ -26,24 +27,25 @@ from softjpeg.losses import psnr
 from tests.conftest import traced_peak
 
 
-def test_decode_matches_reference_decoder_within_one(natural_image, stock_decode):
+def test_decode_matches_reference_decoder_within_one(natural_image, libjpeg_decode):
     for seed, (h, w) in [(7, (120, 184)), (11, (97, 131)), (23, (64, 200))]:
         img = natural_image(h, w, seed)
         for quality in (10, 50, 90):
             stream = encode_baseline(img, tables_for_quality(quality))
-            ref = stock_decode(stream)
+            ref = libjpeg_decode(stream)
             ours = decode_baseline(stream)
             assert np.abs(ours.astype(int) - ref.astype(int)).max() <= 1
 
 
-def test_decode_of_reference_encoder_output_matches(natural_image, stock_decode, libjpeg_encode):
+def test_decode_of_reference_encoder_output_matches(natural_image, libjpeg_decode,
+                                                    libjpeg_encode):
     # The system libjpeg's 4:4:4 baseline output must decode here with at
     # most one level of disagreement against a stock decoder.
     img = natural_image(120, 184, seed=7)
     for quality in (50, 90):
         stream = libjpeg_encode(img, quality)
         ours = decode_baseline(stream)
-        ref = stock_decode(stream)
+        ref = libjpeg_decode(stream)
         assert np.abs(ours.astype(int) - ref.astype(int)).max() <= 1
 
 
@@ -63,15 +65,15 @@ def test_decode_of_reference_encoder_output_matches(natural_image, stock_decode,
     ids=["444-q50", "444-q90", "optimized-q10", "optimized-q50", "optimized-q95", "420", "restart",
          "progressive", "cr-table"],
 )
-def test_libjpeg_streams_decode_exactly_or_raise(natural_image, libjpeg_encode, stock_decode,
-                                                  options, error):
+def test_libjpeg_streams_decode_exactly_or_raise(natural_image, libjpeg_encode,
+                                                  libjpeg_decode, options, error):
     # libjpeg's 4:4:4 baseline streams decode bit-exactly, with the standard
     # Huffman tables or ones optimized for the image (whose code lengths the
     # standard ones never use); every stream outside the supported subset
     # raises the parser's error.
     stream = libjpeg_encode(natural_image(120, 184, seed=7), *options)
     if error is None:
-        assert np.array_equal(decode_baseline(stream), stock_decode(stream))
+        assert np.array_equal(decode_baseline(stream), libjpeg_decode(stream))
     else:
         with pytest.raises(JpegFormatError, match=error):
             decode_baseline(stream)
@@ -178,6 +180,62 @@ def test_encoders_name_a_raster_shape_they_cannot_code(shape):
                    lambda: transform_grids(image), lambda: pl.encode_stream(image, params, config)):
         with pytest.raises(ValueError, match=re.escape(f"(H, W, 3) raster, got shape {shape}")):
             encode()
+
+
+def raster_with(dtype, sample):
+    """A 16x16 raster of 90s in ``dtype`` with one ``sample``."""
+    image = np.full((16, 16, 3), 90, dtype=dtype)
+    image[3, 5, 1] = sample
+    return image
+
+
+SHAPE_MESSAGE = "^" + re.escape("expected one (H, W, 3) raster, got shape (16, 16")
+SAMPLE_MESSAGE = "^" + re.escape("raster samples must be integers in 0..255") + "$"
+# Inputs no 8-bit RGB image is, and the message each raises.
+BAD_RASTERS = {
+    "shape-16x16": (np.full((16, 16), 90, np.uint8), SHAPE_MESSAGE),
+    "shape-16x16x4": (np.full((16, 16, 4), 90, np.uint8), SHAPE_MESSAGE),
+    **{f"float64-{v}": (raster_with(np.float64, v), SAMPLE_MESSAGE)
+       for v in (np.nan, np.inf, -np.inf, 300, -1, 0.5)},
+    **{f"int64-{v}": (raster_with(np.int64, v), SAMPLE_MESSAGE) for v in (300, -1)},
+    "bool": (np.ones((16, 16, 3), bool), SAMPLE_MESSAGE),
+    "complex": (np.full((16, 16, 3), 90 + 0j), SAMPLE_MESSAGE),
+    "string": (np.full((16, 16, 3), "90"), SAMPLE_MESSAGE),
+    "object": (np.full((16, 16, 3), 90, dtype=object), SAMPLE_MESSAGE),
+}
+
+
+@pytest.fixture(scope="module")
+def fitted_estimator():
+    return LearnedJpeg(steps=1, batch_size=1, patch_size=8, num_patches=1, hidden_size=1,
+                       kwta_k=1).fit(np.zeros((8, 8, 3), np.uint8))
+
+
+@pytest.mark.filterwarnings("error")  # no ComplexWarning from a cast
+@pytest.mark.parametrize("case", sorted(BAD_RASTERS))
+@pytest.mark.parametrize("entry", ["encode_baseline", "forward_grids", "transform_grids",
+                                   "encode_stream", "encode_ppm", "write_ppm",
+                                   "LearnedJpeg.fit", "LearnedJpeg.transform"])
+def test_raster_entry_points_refuse_what_no_8_bit_image_holds(entry, case, fitted_estimator,
+                                                              tmp_path):
+    # A NaN, inf or out-of-range sample was once coded into a stream.
+    image, message = BAD_RASTERS[case]
+    tables = tables_for_quality(50)
+    est = fitted_estimator
+    calls = {
+        "encode_baseline": lambda: encode_baseline(image, tables),
+        "forward_grids": lambda: forward_grids(image, tables),
+        "transform_grids": lambda: transform_grids(image),
+        "encode_stream": lambda: pl.encode_stream(image, est.params_, est.config_.pipeline),
+        "encode_ppm": lambda: encode_ppm(image),
+        "write_ppm": lambda: write_ppm(tmp_path / "bad.ppm", image),
+        "LearnedJpeg.fit": lambda: LearnedJpeg(**est.get_params()).fit(image),
+        "LearnedJpeg.transform": lambda: est.transform(image),
+    }
+    with pytest.raises(ValueError, match=message) as caught:
+        calls[entry]()
+    assert type(caught.value) is ValueError
+    assert not (tmp_path / "bad.ppm").exists()
 
 
 def test_ppm_roundtrip(natural_image):

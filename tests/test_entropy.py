@@ -238,7 +238,7 @@ def test_every_assigned_code_decodes_back_to_its_symbol(spec):
         BitReader(b"\xff\x00\xff\x00").decode_symbol(table)
 
 
-def test_overfull_huffman_table_rejected_as_by_libjpeg(natural_image, stock_decode):
+def test_overfull_huffman_table_rejected_as_by_libjpeg(natural_image, libjpeg_decode):
     # Three 1-bit codes cannot exist; libjpeg's jpeg_make_d_derived_tbl
     # stops at "Bogus Huffman table definition".  Read as a prefix code
     # anyway, this image's scan would decode to a raster.
@@ -248,12 +248,12 @@ def test_overfull_huffman_table_rejected_as_by_libjpeg(natural_image, stock_deco
     patched = (stream[:lengths] + bytes([3, 0, 4, 1, 1, 1, 1, 1] + [0] * 8)
                + stream[lengths + 16 :])
     with pytest.raises(ValueError, match="Bogus Huffman table definition"):
-        stock_decode(patched)
+        libjpeg_decode(patched)
     with pytest.raises(JpegFormatError, match="too many codes of length 1"):
         entropy_decode(patched)
 
 
-def test_dc_huffman_value_above_15_rejected_as_by_libjpeg(natural_image, stock_decode):
+def test_dc_huffman_value_above_15_rejected_as_by_libjpeg(natural_image, libjpeg_decode):
     # jpeg_make_d_derived_tbl also rejects a DC table value above 15.  This
     # scan never codes the value, so read as a prefix code it would decode.
     stream = encode_baseline(natural_image(16, 16, seed=1), tables_for_quality(50))
@@ -261,7 +261,7 @@ def test_dc_huffman_value_above_15_rejected_as_by_libjpeg(natural_image, stock_d
     assert stream[last_value] == 11
     patched = stream[:last_value] + bytes([20]) + stream[last_value + 1 :]
     with pytest.raises(ValueError, match="Bogus Huffman table definition"):
-        stock_decode(patched)
+        libjpeg_decode(patched)
     with pytest.raises(JpegFormatError, match="DC Huffman table 0 holds a value above 15"):
         entropy_decode(patched)
 
@@ -321,13 +321,13 @@ def test_dc_predictor_at_the_int16_limit_decodes():
     assert not grids[1].blocks.any() and not grids[2].blocks.any()
 
 
-def test_samples_beyond_eight_bit_range_wrap_as_in_libjpeg(stock_decode):
+def test_samples_beyond_eight_bit_range_wrap_as_in_libjpeg(libjpeg_decode):
     # Unshifted Y samples of 2047 * 16 * (i + 1) wrap modulo 1024 through
     # libjpeg-turbo's range-limit table; a plain clamp would read 255 throughout.
     stream = dc_climb_stream(16)
     raster = decode_baseline(stream)
     assert raster[0, ::8, 0].tolist() == list(range(126, 94, -2))
-    assert np.array_equal(raster, stock_decode(stream))
+    assert np.array_equal(raster, libjpeg_decode(stream))
 
 
 def test_dc_predictor_past_int16_rejected():
@@ -557,6 +557,17 @@ def insert_before(stream, marker, blob):
 READER_EDITS = {
     "fill-bytes-before-a-marker": (lambda s: insert_before(s, 0xC0, b"\xff\xff"), None),
     "fill-bytes-before-eoi": (lambda s: s[:-2] + b"\xff\xff" + s[-2:], None),
+    # As libjpeg's get_dri, an interval of 0 means no restarts.
+    "dri-interval-0": (lambda s: insert_before(s, 0xDA, b"\xff\xdd\x00\x04\x00\x00"), None),
+    "dri-interval-1": (lambda s: insert_before(s, 0xDA, b"\xff\xdd\x00\x04\x00\x01"),
+                       "restart intervals are not supported"),
+    # As libjpeg's jpeg_std_huff_table, an empty slot 0 or 1 takes the T.81
+    # K.3 table, the one this encoder writes there; slots 2 and 3 have none.
+    "dht-removed": (lambda s: s.replace(segment(0xC4, payload_of(s, 0xC4)), b""), None),
+    "dht-removed-y-at-slot-2": (lambda s: replace_segment(
+        s.replace(segment(0xC4, payload_of(s, 0xC4)), b""), 0xDA,
+        bytes([3, 1, 0x22, 2, 0x11, 3, 0x11, 0, 63, 0])),
+        "missing Huffman tables for component Y"),
     "eoi-before-any-scan": (lambda s: insert_before(s, 0xC0, b"\xff\xd9"),
                             "EOI marker before any scan data"),
     "duplicate-sof0": (lambda s: insert_before(s, 0xC0, segment(0xC0, payload_of(s, 0xC0))),

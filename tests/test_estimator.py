@@ -56,14 +56,14 @@ def test_fit_stores_state_and_history(fitted):
     assert est.config_.loss.lam == est.lam
 
 
-def test_transform_streams_are_standard_jpeg(fitted, stock_decode):
+def test_transform_streams_are_standard_jpeg(fitted, libjpeg_decode):
     est, images = fitted
     streams = est.transform(images)
     assert len(streams) == 2
     for stream, img in zip(streams, images):
         assert stream[:2] == b"\xff\xd8" and stream[-2:] == b"\xff\xd9"
         assert decode_baseline(stream).shape == img.shape
-        assert stock_decode(stream).shape == img.shape
+        assert libjpeg_decode(stream).shape == img.shape
 
 
 def test_inverse_transform_decodes(fitted):

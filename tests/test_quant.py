@@ -39,6 +39,15 @@ def test_table_pair_range_validation():
         QuantTablePair(np.ones((8, 8)), np.full((8, 8), 256))
 
 
+@pytest.mark.parametrize("luma, chroma", [(np.full((8, 8), 1.5), np.ones((8, 8))),
+                                          (np.ones((8, 8)), np.full((8, 8), 2.9)),
+                                          (np.where(np.eye(8), np.nan, 1.0), np.ones((8, 8)))])
+def test_table_pair_refuses_entries_that_are_not_integers(luma, chroma):
+    # The int64 cast once kept 1.5 as 1 and 2.9 as 2, and a NaN warned.
+    with pytest.raises(ValueError, match="table entries must be integers in \\[1, 255\\]"):
+        QuantTablePair(luma, chroma)
+
+
 def test_quality_50_is_base_tables():
     pair = tables_for_quality(50)
     assert np.array_equal(pair.luma, LUMA_BASE_TABLE)
@@ -57,7 +66,12 @@ def test_quality_scaling_monotone_and_bounded():
     assert np.all(tables_for_quality(100).luma == 1)
 
 
-@pytest.mark.parametrize("quality", [0, 101, -5])
+# int() once truncated 50.7 to 50 and took True as quality 1.
+@pytest.mark.parametrize("quality", [0, 101, -5, 50.7, 50.0, True, "50", None])
 def test_quality_out_of_range_rejected(quality):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="quality must be an integer in 1..100"):
         tables_for_quality(quality)
+
+
+def test_quality_takes_numpy_integers():
+    assert np.array_equal(tables_for_quality(np.uint8(50)).luma, tables_for_quality(50).luma)
