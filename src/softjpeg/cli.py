@@ -33,22 +33,12 @@ EXIT_IO = 2
 EXIT_FORMAT = 3
 
 
-class _UsageExit(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise _UsageExit()
-
-
 def build_parser():
-    parser = _Parser(prog="softjpeg", description=__doc__)
+    parser = argparse.ArgumentParser(prog="softjpeg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     enc = sub.add_parser("encode", help="compress a P6 PPM image to JFIF")
+    enc.set_defaults(run=cmd_encode)
     enc.add_argument("--input", required=True, help="input P6 PPM file")
     enc.add_argument("--output", required=True, help="output .jpg path")
     mode = enc.add_mutually_exclusive_group(required=True)
@@ -56,21 +46,25 @@ def build_parser():
     mode.add_argument("--checkpoint", help="use a trained checkpoint (learned tables + edits)")
 
     dec = sub.add_parser("decode", help="decode a baseline JFIF stream to P6 PPM")
+    dec.set_defaults(run=cmd_decode)
     dec.add_argument("--input", required=True)
     dec.add_argument("--output", required=True)
     dec.add_argument("--reference", help="PPM to report PSNR against")
 
     trn = sub.add_parser("train", help="train the learned pipeline on a directory of PPMs")
+    trn.set_defaults(run=cmd_train)
     trn.add_argument("--data", required=True, help="directory of P6 training images")
     trn.add_argument("--config", help="JSON training-config file (defaults when omitted)")
     trn.add_argument("--out", required=True, help="checkpoint output path")
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint against bpp-matched baseline JPEG")
+    ev.set_defaults(run=cmd_eval)
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--data", required=True)
     ev.add_argument("--csv", required=True, help="metrics CSV output path")
 
     qt = sub.add_parser("qtable", help="print a checkpoint's exported quantization tables")
+    qt.set_defaults(run=cmd_qtable)
     qt.add_argument("--checkpoint", required=True)
     return parser
 
@@ -141,22 +135,13 @@ def cmd_qtable(args):
     return EXIT_OK
 
 
-_COMMANDS = {
-    "encode": cmd_encode,
-    "decode": cmd_decode,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "qtable": cmd_qtable,
-}
-
-
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-    except _UsageExit:
-        return EXIT_USAGE
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (JpegFormatError, PpmFormatError, CoefficientRangeError,
             tr.CheckpointFormatError) as exc:
         print(f"softjpeg: invalid input data: {exc}", file=sys.stderr)

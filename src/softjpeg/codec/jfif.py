@@ -139,28 +139,50 @@ def entropy_encode(grids, tables):
     return head + scan + struct.pack(">BB", 0xFF, EOI)
 
 
+def _next_marker(data, pos):
+    """The marker at ``data[pos]`` and the position after it, past fill
+    bytes and the standalone TEM and RSTn markers, which libjpeg's
+    ``read_markers`` skips between segments."""
+    while True:
+        if pos + 2 <= len(data) and data[pos] != 0xFF:
+            raise JpegFormatError(f"expected a marker, found byte 0x{data[pos]:02X}")
+        while pos + 2 <= len(data) and data[pos + 1] == 0xFF:  # fill bytes
+            pos += 1
+        if pos + 2 > len(data):
+            raise JpegFormatError("truncated stream inside marker")
+        marker = data[pos + 1]
+        pos += 2
+        if not (marker == 0x01 or 0xD0 <= marker <= 0xD7):
+            return marker, pos
+
+
 def _segment_at(data, pos):
-    """Frame the marker segment at ``data[pos]``, past any fill bytes:
-    ``(marker, payload, the position after it)``.  EOI and standalone
-    markers have no place before the scan."""
-    if pos + 2 <= len(data) and data[pos] != 0xFF:
-        raise JpegFormatError(f"expected a marker, found byte 0x{data[pos]:02X}")
-    while pos + 2 <= len(data) and data[pos + 1] == 0xFF:  # fill bytes
-        pos += 1
-    if pos + 2 > len(data):
-        raise JpegFormatError("truncated stream inside marker")
-    marker = data[pos + 1]
-    pos += 2
+    """Frame the marker segment that ``_next_marker`` finds at ``data[pos]``:
+    ``(marker, payload, the position after it)``.  EOI has no place before
+    the scan."""
+    marker, pos = _next_marker(data, pos)
     if marker == EOI:
         raise JpegFormatError("EOI marker before any scan data")
-    if marker == 0x01 or 0xD0 <= marker <= 0xD7:
-        raise JpegFormatError(f"unexpected standalone marker 0xFF{marker:02X}")
     if pos + 2 > len(data):
         raise JpegFormatError("truncated stream inside segment length")
     seglen = struct.unpack_from(">H", data, pos)[0]
     if seglen < 2 or pos + seglen > len(data):
         raise JpegFormatError(f"segment 0xFF{marker:02X} length mismatch")
     return marker, data[pos + 2 : pos + seglen], pos + seglen
+
+
+def _check_dac(payload):
+    """Check a DAC payload as libjpeg's ``get_dac`` does: (index, value)
+    pairs, an index below 16 naming a DC table whose low bound (the low
+    nibble) is at most its high bound, one from 16 to 31 an AC table.  A
+    Huffman-coded frame has no use for the values."""
+    if len(payload) % 2:
+        raise JpegFormatError("DAC segment length mismatch")
+    for index, value in zip(payload[::2], payload[1::2]):
+        if index > 31:
+            raise JpegFormatError(f"invalid DAC table index {index}")
+        if index < 16 and value & 0x0F > value >> 4:
+            raise JpegFormatError(f"invalid DAC value 0x{value:02X} for DC table {index}")
 
 
 def _parse_sof0(payload):
@@ -244,9 +266,11 @@ def entropy_decode(data):
             frame = _parse_sof0(payload)
         elif marker == SOF2:
             raise JpegFormatError("progressive JPEG is not supported")
-        elif marker == DAC or 0xC8 <= marker <= 0xCF:
+        elif marker == DAC:
+            _check_dac(payload)
+        elif 0xC9 <= marker <= 0xCF:
             raise JpegFormatError("arithmetic-coded JPEG is not supported")
-        elif marker in (0xC1, 0xC3) or 0xC5 <= marker <= 0xC7:
+        elif marker in (0xC1, 0xC3) or 0xC5 <= marker <= 0xC8:
             raise JpegFormatError(f"unsupported frame type 0xFF{marker:02X}")
         elif marker == DQT:
             qtables.update(_parse_dqt(payload))
@@ -273,10 +297,11 @@ def entropy_decode(data):
         raise JpegFormatError("Cb and Cr must share one quantization table")
     blocks, pos = decode_scan(data, pos, rows, cols, maps)
 
-    # Skip padding and fill bytes, then demand EOI.
-    while pos + 1 < len(data) and data[pos] == 0xFF and data[pos + 1] == 0xFF:
-        pos += 1
-    if pos + 2 > len(data) or data[pos] != 0xFF or data[pos + 1] != EOI:
+    try:
+        marker, _ = _next_marker(data, pos)
+    except JpegFormatError:
+        marker = None
+    if marker != EOI:
         raise JpegFormatError("missing EOI marker after entropy-coded data")
 
     grids = tuple(CoefficientGrid(channel, b.reshape(rows, cols, 8, 8), height, width)

@@ -10,7 +10,7 @@ sklearn import is needed.
 """
 
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, field, fields, make_dataclass
 
 import numpy as np
 
@@ -41,53 +41,35 @@ def _image_list(X):
     raise ValueError("expected an image, an array batch, or a list of images")
 
 
-@dataclass(eq=False)
-class LearnedJpeg:
+# The desk-scale data sizes the README documents; every other
+# hyperparameter takes its TrainConfig or LossConfig default.
+_DESK_SIZES = {"batch_size": 8, "patch_size": 64, "num_patches": 64}
+# eq=False keeps estimators compared and hashed by identity.
+_Hyperparameters = make_dataclass(
+    "_Hyperparameters",
+    [(f.name, f.type, field(default=_DESK_SIZES.get(f.name, f.default)))
+     for f in fields(TrainConfig) + fields(LossConfig) if f.name != "loss"],
+    eq=False)
+
+
+class LearnedJpeg(_Hyperparameters):
     """Jointly learn quantization tables and sparse coefficient edits.
 
-    Parameters mirror the training configuration: rate/distortion weights
-    (``lam``, ``alpha``, ``beta``, ``sigma``, ``gamma``), model size
-    (``hidden_size``, ``kwta_k``, ``refine_steps``), the table scale ``s``,
-    and the optimization schedule.  After ``fit``, ``params_`` holds the
-    trained pipeline parameters and ``transform`` produces bitstreams any
-    baseline JPEG decoder can read.
+    The parameters are ``TrainConfig``'s fields but ``loss``, then
+    ``LossConfig``'s: the optimization schedule, the model size and the
+    rate/distortion weights.  After ``fit``, ``params_`` holds the trained
+    pipeline parameters and ``transform`` produces bitstreams any baseline
+    JPEG decoder can read.
     """
 
-    steps: int = TrainConfig.steps
-    # The desk-scale data sizes the README documents; the rest are
-    # TrainConfig's and LossConfig's defaults.
-    batch_size: int = 8
-    patch_size: int = 64
-    num_patches: int = 64
-    lr0: float = TrainConfig.lr0
-    lr_end: float = TrainConfig.lr_end
-    decay_power: float = TrainConfig.decay_power
-    table_lr_scale: float = TrainConfig.table_lr_scale
-    hidden_size: int = TrainConfig.hidden_size
-    kwta_k: int = TrainConfig.kwta_k
-    refine_steps: int = TrainConfig.refine_steps
-    table_scale: float = TrainConfig.table_scale
-    soft_round_alternate: bool = TrainConfig.soft_round_alternate
-    lam: float = LossConfig.lam
-    gamma: float = LossConfig.gamma
-    sigma: float = LossConfig.sigma
-    alpha: float = LossConfig.alpha
-    beta: float = LossConfig.beta
-    seed: int = TrainConfig.seed
-    params_: pl.PipelineParams = field(default=None, init=False, repr=False)
-    config_: TrainConfig = field(default=None, init=False, repr=False)
-    history_: list = field(default=None, init=False, repr=False)
-    adam_: tr.AdamState = field(default=None, init=False, repr=False)
-
-    @classmethod
-    def _param_names(cls):
-        return [f.name for f in fields(cls) if f.init]
+    # Learned state, set by fit and load.
+    params_ = config_ = history_ = adam_ = None
 
     def get_params(self, deep=True):
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def set_params(self, **params):
-        valid = set(self._param_names())
+        valid = self.get_params()
         for name, value in params.items():
             if name not in valid:
                 raise ValueError(
@@ -98,10 +80,9 @@ class LearnedJpeg:
         return self
 
     def _train_config(self):
-        def values(cls):
-            return {f.name: getattr(self, f.name) for f in fields(cls) if f.name != "loss"}
-
-        return TrainConfig(loss=LossConfig(**values(LossConfig)), **values(TrainConfig))
+        params = self.get_params()
+        loss = LossConfig(**{f.name: params.pop(f.name) for f in fields(LossConfig)})
+        return TrainConfig(loss=loss, **params)
 
     def fit(self, X, y=None):
         """Train on a directory of P6 images or a list of (H, W, 3) rasters."""

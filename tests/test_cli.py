@@ -54,6 +54,13 @@ def test_usage_errors_exit_1(workdir, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["encode", "--help"], 0), ([], 1)])
+def test_help_exits_0_and_no_command_exits_1(argv, code, capsys):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert "usage: softjpeg" in (out if code == 0 else err)
+
+
 @pytest.mark.parametrize("quality", ["0", "101", "abc", "50.5"])
 def test_bad_quality_exits_1_before_the_input_is_read(tmp_path, capsys, quality):
     assert main(["encode", "--input", str(tmp_path / "absent.ppm"),

@@ -557,6 +557,21 @@ def insert_before(stream, marker, blob):
 READER_EDITS = {
     "fill-bytes-before-a-marker": (lambda s: insert_before(s, 0xC0, b"\xff\xff"), None),
     "fill-bytes-before-eoi": (lambda s: s[:-2] + b"\xff\xff" + s[-2:], None),
+    # As libjpeg's read_markers, standalone TEM and RSTn markers between
+    # segments are skipped.  10 000 of them: the reader loops, where a
+    # recursion would pass Python's depth limit.
+    "rst0-before-sof0": (lambda s: insert_before(s, 0xC0, b"\xff\xd0" * 10_000), None),
+    "tem-before-sof0": (lambda s: insert_before(s, 0xC0, b"\xff\x01"), None),
+    "rst7-before-sos": (lambda s: insert_before(s, 0xDA, b"\xff\xd7"), None),
+    "rst0-before-eoi": (lambda s: s[:-2] + b"\xff\xd0" + s[-2:], None),
+    # As libjpeg's get_dac, a DAC segment is checked, and a Huffman-coded
+    # frame has no use for it: DC table 0 gets bounds 0..1, AC table 0 K=5.
+    "dac-before-sos": (lambda s: insert_before(s, 0xDA, segment(0xCC, b"\x00\x10\x10\x05")),
+                       None),
+    "dac-empty": (lambda s: insert_before(s, 0xC0, segment(0xCC, b"")), None),
+    # JPG, a reserved SOF code, is no arithmetic frame.
+    "jpg-in-place-of-sof0": (lambda s: s.replace(b"\xff\xc0", b"\xff\xc8", 1),
+                             "unsupported frame type 0xFFC8"),
     # As libjpeg's get_dri, an interval of 0 means no restarts.
     "dri-interval-0": (lambda s: insert_before(s, 0xDA, b"\xff\xdd\x00\x04\x00\x00"), None),
     "dri-interval-1": (lambda s: insert_before(s, 0xDA, b"\xff\xdd\x00\x04\x00\x01"),
@@ -604,6 +619,23 @@ def test_stream_reader_rules(edit, natural_image, request):
     else:
         with pytest.raises(JpegFormatError, match=f"^{re.escape(message)}$"):
             decode_baseline(patched)
+
+
+@pytest.mark.parametrize("payload, message, libjpeg_message", [
+    (b"\x20\x00", "invalid DAC table index 32", "Bogus DAC index 32"),
+    (b"\x00\x01", "invalid DAC value 0x01 for DC table 0", "Bogus DAC value 0x1"),
+    # libjpeg reads past the segment for the last pair's value, then finds
+    # the length odd.
+    (b"\x10\x00\x10", "DAC segment length mismatch", "Bogus marker length"),
+], ids=["index-32", "dc-value-0x01", "odd-length"])
+def test_bad_dac_rejected_as_by_libjpeg(payload, message, libjpeg_message, natural_image,
+                                        libjpeg_decode):
+    stream = encode_baseline(natural_image(16, 16, seed=1), tables_for_quality(50))
+    patched = insert_before(stream, 0xDA, segment(0xCC, payload))
+    with pytest.raises(ValueError, match=libjpeg_message):
+        libjpeg_decode(patched)
+    with pytest.raises(JpegFormatError, match=f"^{re.escape(message)}$"):
+        entropy_decode(patched)
 
 
 def test_huffman_destination_above_3_rejected_as_by_libjpeg(natural_image, libjpeg_decode):

@@ -1,4 +1,5 @@
-from dataclasses import fields
+import inspect
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -31,6 +32,21 @@ def test_params_are_the_train_and_loss_config_fields():
     expected = ({f.name for f in fields(TrainConfig) if f.name != "loss"}
                 | {f.name for f in fields(LossConfig)})
     assert set(LearnedJpeg().get_params()) == expected
+
+
+def test_signature_gives_every_hyperparameter_as_a_keyword_with_its_default():
+    config = TrainConfig(batch_size=8, patch_size=64, num_patches=64)  # the desk-scale sizes
+    defaults = {f.name: getattr(config, f.name) for f in fields(TrainConfig) if f.name != "loss"}
+    defaults.update(asdict(config.loss))
+    parameters = inspect.signature(LearnedJpeg).parameters
+    assert {name: p.default for name, p in parameters.items()} == defaults
+    assert {p.kind for p in parameters.values()} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+
+
+def test_estimators_compare_and_hash_by_identity():
+    est = LearnedJpeg()
+    assert est == est and est != LearnedJpeg()
+    assert len({est, LearnedJpeg()}) == 2
 
 
 def test_set_params_returns_self_and_updates():
