@@ -18,7 +18,9 @@ whatever the batch or the image size.
 (creation order is a topological order because operands always exist
 before their result), sums each node's terms, hands the sum to its parents
 once and frees it.  Only leaves that require a gradient keep ``.grad``.
-A graph can be swept more than once.
+A graph can be swept more than once.  ``recompute`` keeps a function's
+inputs and result instead of its graph, and ``backward`` re-runs it taped
+when the sweep reaches the result, with the same gradients bit for bit.
 
 There is no broadcasting except ``scalar_mul`` and ``scalar_add``: shape
 mismatches raise ``ShapeError`` naming the op and both shapes.  A graph is
@@ -52,13 +54,16 @@ class ShapeError(ValueError):
 class _Node:
     """An op result's place in the graph: its tensor's ``node_id`` and one
     ``(parent, vjp)`` pair per linked operand.  A parent is another
-    ``_Node`` or a leaf ``Tensor``, so the node keeps no result data alive."""
+    ``_Node`` or a leaf ``Tensor``, so the node keeps no result data alive.
+    A ``recompute`` result's node has no VJPs; it holds ``(fn, inputs)``
+    in ``rerun`` instead."""
 
-    __slots__ = ("node_id", "parents")
+    __slots__ = ("node_id", "parents", "rerun")
 
-    def __init__(self, node_id, parents):
+    def __init__(self, node_id, parents, rerun=None):
         self.node_id = node_id
         self.parents = parents
+        self.rerun = rerun
 
 
 class Tensor:
@@ -98,12 +103,12 @@ class Tensor:
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
 
 
-def zeros(shape, requires_grad=False):
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
+def zeros(shape):
+    return Tensor(np.zeros(shape))
 
 
-def ones(shape, requires_grad=False):
-    return Tensor(np.ones(shape), requires_grad=requires_grad)
+def ones(shape):
+    return Tensor(np.ones(shape))
 
 
 @contextlib.contextmanager
@@ -132,19 +137,64 @@ def _result(data, op, pairs):
     return Tensor(data, op=op)
 
 
+def recompute(fn, *inputs):
+    """``fn(*inputs)``, whose graph is rebuilt in ``backward`` instead of kept.
+
+    While taping, ``fn`` runs under ``no_grad`` and its result links only
+    the inputs that require a gradient, so the forward pass keeps the inputs
+    and the result and nothing in between.  When ``backward`` reaches the
+    result it runs ``fn`` again, taped, and sweeps the nodes that run
+    created before any older node.  The gradients are bit for bit those of
+    the taped ``fn``: its nodes would have been one unbroken stretch of ids
+    between its inputs and its result, so every sum meets its terms in the
+    same order.  Outside taping, or when no input requires a gradient, this
+    is ``fn(*inputs)``.
+
+    ``fn`` must compute the same values again: it may read tensors that
+    require a gradient only through ``inputs`` (``backward`` raises
+    ``RuntimeError`` otherwise), and their data must not change between the
+    forward pass and ``backward``, so update parameters only after it.
+    """
+    if not _TAPING.get() or not any(t.requires_grad for t in inputs):
+        return fn(*inputs)
+    with no_grad():
+        data = fn(*inputs).data
+    result = Tensor(data, requires_grad=True, op="recompute")
+    links = tuple((t._node or t, None) for t in inputs if t.requires_grad)
+    result._node = _Node(result.node_id, links, (fn, inputs))
+    return result
+
+
 def backward(loss):
     """Add d(loss)/d(leaf) to ``.grad`` of every leaf that requires a gradient."""
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
+    _sweep(loss._node or loss, np.ones_like(loss.data), {}, floor=-1, inputs=())
+
+
+def _add_term(grads, node_id, term):
+    prev = grads.get(node_id)
+    grads[node_id] = term if prev is None else prev + term
+
+
+def _sweep(root, root_grad, grads, floor, inputs):
+    """Hand ``root_grad`` to ``root`` and sweep the nodes above id ``floor``
+    that it reaches, adding their terms to ``grads``.  A node at or below
+    ``floor`` belongs to an enclosing sweep, and its id must be in
+    ``inputs``."""
     # Reverse creation order over the reachable subgraph is a valid
     # reverse-topological order, so every node is visited exactly once and
     # after all of its consumers have added their terms.  Leaves are the
     # Tensors among them; every other entry is a _Node.
-    root = loss._node or loss
     reachable = {}
     stack = [root]
     while stack:
         n = stack.pop()
+        if n.node_id <= floor:
+            if n.node_id not in inputs:
+                raise RuntimeError("recompute: fn reads a tensor that requires a "
+                                   "gradient but is not among its inputs")
+            continue
         if n.node_id in reachable:
             continue
         reachable[n.node_id] = n
@@ -152,20 +202,37 @@ def backward(loss):
             stack.extend(p for p, _ in n.parents)
     # A leaf's earlier gradient is the first term of its sum, as if the
     # terms were added to it one by one.
-    grads = {i: n.grad for i, n in reachable.items()
-             if isinstance(n, Tensor) and n.grad is not None}
-    grads[root.node_id] = np.ones_like(loss.data)
+    for i, n in reachable.items():
+        if isinstance(n, Tensor) and n.grad is not None:
+            grads[i] = n.grad
+    _add_term(grads, root.node_id, root_grad)
     for n in sorted(reachable.values(), key=lambda n: n.node_id, reverse=True):
-        g = grads.pop(n.node_id)
+        # Only a recompute input its fn did not read can have no term.
+        g = grads.pop(n.node_id, None)
+        if g is None:
+            continue
         if isinstance(n, Tensor):
             if n.requires_grad:
                 # A copy: a VJP may hand the same array to several operands.
                 n.grad = np.array(g, dtype=np.float64)
-            continue
-        for parent, vjp in n.parents:
-            term = vjp(g)
-            prev = grads.get(parent.node_id)
-            grads[parent.node_id] = term if prev is None else prev + term
+        elif n.rerun is not None:
+            _rematerialize(n, g, grads)
+        else:
+            for parent, vjp in n.parents:
+                _add_term(grads, parent.node_id, vjp(g))
+
+
+def _rematerialize(node, g, grads):
+    """Re-run a ``recompute`` node's fn taped and sweep what that run created.
+    The re-run's graph is freed on return."""
+    fn, inputs = node.rerun
+    token = _TAPING.set(True)
+    try:
+        out = fn(*inputs)
+    finally:
+        _TAPING.reset(token)
+    if out.requires_grad:
+        _sweep(out._node or out, g, grads, node.node_id, {p.node_id for p, _ in node.parents})
 
 
 def _same_shape(op, a, b):

@@ -34,10 +34,11 @@ def decode_ppm(data):
     fields = []
     for _ in range(3):
         token, pos = _read_token(data, pos)
-        try:
-            fields.append(int(token))
-        except ValueError:
-            raise PpmFormatError(f"invalid PPM header field {token!r}") from None
+        # Netpbm fields are ASCII decimal digits; int() would also take a
+        # sign, underscores and non-ASCII digits.
+        if not token.isdigit():
+            raise PpmFormatError(f"invalid PPM header field {token!r}")
+        fields.append(int(token))
     width, height, maxval = fields
     if width <= 0 or height <= 0:
         raise PpmFormatError("PPM header declares a zero-sized image")

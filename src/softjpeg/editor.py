@@ -154,7 +154,11 @@ def refine(h_map, params, steps):
 
 
 def _scores_from_map(h_map, refiner, k, steps):
-    return kwta(ad.matmul(refine(h_map, refiner, steps), refiner.U), k)
+    # The refiner's iterations would hold most of the training graph; backward
+    # rebuilds them instead, with the same bits.
+    z = ad.recompute(lambda h, *weights: refine(h, RefinerParams(*weights), steps),
+                     h_map, *refiner.named().values())
+    return kwta(ad.matmul(z, refiner.U), k)
 
 
 def edit_scores(image, stem, refiner, k, steps):

@@ -156,24 +156,10 @@ def _ssim_maps(x, y, k1=0.01, k2=0.03, peak=255.0):
     return ssim, cs
 
 
-def ssim(x, xhat):
-    """Mean single-scale SSIM over the luma plane (11-tap Gaussian window)."""
-    x = _luma(x)
-    y = _luma(xhat)
-    _check_same_shape("ssim", x, y)
-    if min(x.shape) < _WINDOW_SIZE:
-        raise ValueError(f"ssim needs images of at least {_WINDOW_SIZE}x{_WINDOW_SIZE}")
-    return float(np.mean(_ssim_maps(x, y)[0]))
-
-
-def msssim(x, xhat):
-    """5-scale multi-scale SSIM on the luma plane, in [0, 1]."""
-    return ssim_and_msssim(x, xhat)[1]
-
-
 def ssim_and_msssim(x, xhat):
-    """``(ssim(x, xhat), msssim(x, xhat))`` from one pass: the single-scale
-    value is the mean of MS-SSIM's level-0 SSIM map."""
+    """``(ssim, msssim)`` of the luma planes from one pass: 5-scale MS-SSIM
+    in [0, 1], and single-scale SSIM (11-tap Gaussian window) as the mean of
+    its level-0 SSIM map."""
     x = _luma(x)
     y = _luma(xhat)
     _check_same_shape("msssim", x, y)

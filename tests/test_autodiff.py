@@ -65,6 +65,13 @@ def test_fanout_gradients_sum():
     assert x.grad[0] == 2.0
 
 
+def test_backward_of_a_leaf_adds_one_to_its_gradient():
+    x = leaf([5.0])
+    x.grad = np.array([2.0])
+    ad.backward(x)
+    assert x.grad[0] == 3.0
+
+
 def test_gradients_reach_only_leaves_that_require_them():
     rng = np.random.default_rng(6)
     const = Tensor(rng.normal(size=(4, 3)))
@@ -124,46 +131,61 @@ def test_an_output_no_vjp_reads_is_freed_with_its_tensor():
     assert np.array_equal(x.grad, 2.0 * expected)
 
 
-def _desk_scale_loss():
-    """The desk-scale training graph's parameters and total loss."""
-    config = tr.TrainConfig(batch_size=8, patch_size=64, hidden_size=64, kwta_k=32)
+def _training_loss(patch):
+    """The desk-scale training graph at batch 8 of ``patch``-square patches:
+    its parameters and total loss."""
+    config = tr.TrainConfig(batch_size=8, patch_size=patch, hidden_size=64, kwta_k=32)
     params = pl.init_pipeline(config.pipeline, seed=config.seed)
-    batch = np.random.default_rng(10).integers(0, 256, (8, 64, 64, 3)).astype(np.uint8)
+    batch = np.random.default_rng(10).integers(0, 256, (8, patch, patch, 3)).astype(np.uint8)
     out = pl.forward(batch, params, config.pipeline, rounding="soft")
     terms = losses.loss_terms(Tensor(batch.astype(np.float64)), out.reconstruction,
                               params.tables, out.scores, config.loss)
     return params, terms["total"]
 
 
-def test_desk_scale_graph_keeps_only_what_its_vjps_read():
+# At 8x64^2, holding every forward value read 72.6 MiB live, keeping conv2d's
+# im2col columns 40.0 MiB, running the refiner's first step in full from a
+# zero state 31.3 MiB, and keeping the refiner's iterations 27.6 MiB; at
+# 8x128^2 keeping the iterations read 102.3 MiB.
+@pytest.mark.parametrize("patch, mib", [(64, 20), (128, 75)])
+def test_training_graph_keeps_only_what_its_vjps_read(patch, mib):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        params, loss = _desk_scale_loss()
+        params, loss = _training_loss(patch)
         live = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # Holding every forward value read 72.6 MiB here, keeping conv2d's
-    # im2col columns 40.0 MiB, and running the refiner's first step in full
-    # from a zero state 31.3 MiB.
-    assert live < 30 * 2**20, f"live graph {live / 2**20:.1f} MiB"
+    assert live < mib * 2**20, f"live graph {live / 2**20:.1f} MiB"
     ad.backward(loss)
     assert all(t.grad is not None for t in params.named().values())
 
 
-def test_desk_scale_backward_peak_stays_bounded():
+# At 8x64^2, keeping conv2d's im2col columns read 52.8 MiB, building them,
+# their gradient and a padded input for the whole batch at once 46.5 MiB,
+# running the refiner's first step in full from a zero state 38.4 MiB, and
+# keeping the refiner's iterations 35.3 MiB; at 8x128^2 keeping the
+# iterations read 127.9 MiB.
+@pytest.mark.parametrize("patch, mib", [(64, 28), (128, 100)])
+def test_training_forward_and_backward_peak_stays_bounded(patch, mib):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        _, loss = _desk_scale_loss()
+        _, loss = _training_loss(patch)
         ad.backward(loss)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    # Keeping conv2d's im2col columns read 52.8 MiB here, and building them,
-    # their gradient and a padded input for the whole batch at once 46.5 MiB,
-    # and running the refiner's first step in full from a zero state 38.4 MiB.
-    assert peak < 38 * 2**20, f"backward peak {peak / 2**20:.1f} MiB"
+    assert peak < mib * 2**20, f"forward and backward peak {peak / 2**20:.1f} MiB"
+
+
+def test_recompute_refuses_a_fn_that_reads_a_tensor_around_its_inputs():
+    x, w = leaf([1.0, 2.0]), leaf([3.0, 4.0])
+    with ad.no_grad():
+        assert ad.recompute(lambda t: ad.hadamard_mul(t, w), x)._node is None
+    y = ad.recompute(lambda t: ad.hadamard_mul(t, w), x)
+    with pytest.raises(RuntimeError, match="not among its inputs"):
+        ad.backward(ad.reduce_mean(y))
 
 
 def test_conv2d_temporaries_are_one_image_at_a_time():

@@ -253,6 +253,11 @@ def test_ppm_header_comments_and_whitespace():
         (b"P6\n2 2\n65535\n" + b"\x00" * 12, "maxval"),
         (b"P6\n2 2\n255\n\x00\x00", "truncated"),
         (b"P6\n0 2\n255\n", "zero-sized"),
+        (b"P6 +16 16 255\n" + b"\x00" * 768, "invalid PPM header field b'\\+16'"),
+        (b"P6 1_6 16 255\n" + b"\x00" * 768, "invalid PPM header field b'1_6'"),
+        (b"P6 16 16 2_55\n" + b"\x00" * 768, "invalid PPM header field b'2_55'"),
+        (b"P6 16 -16 255\n", "invalid PPM header field b'-16'"),
+        ("P6 \u0661\u0666 16 255\n".encode() + b"\x00" * 768, "invalid PPM header field"),
     ],
 )
 def test_ppm_rejects_malformed(blob, message):

@@ -1,3 +1,6 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +78,41 @@ def test_refine_matches_straight_line_oracle(rows, hidden, steps, seed):
     oracle = straight_line_refine(h_map, params, steps)
     assert ours.shape == (rows, hidden)
     assert np.abs(ours - oracle).max() < 1e-12
+
+
+@given(rows=st.integers(1, 9), hidden=st.integers(1, 24), steps=st.integers(0, 5),
+       k=st.integers(0, 64), sweep=st.sampled_from(["once", "onto_grads", "twice", "in_no_grad"]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_recomputed_refiner_gives_the_taped_gradients_bit_for_bit(rows, hidden, steps, k,
+                                                                   sweep, seed):
+    rng = np.random.default_rng(seed)
+    weights = [t.data for t in editor.init_refiner(rng, hidden_size=hidden).named().values()]
+    coefficients = rng.uniform(-2000, 2000, (rows, 64))  # clamps on both sides
+    c1, c2 = rng.normal(size=(2, rows, 64))
+
+    def leaf_grads(taped):
+        """Every leaf's gradient through two refiner calls sharing parameters."""
+        x = Tensor(coefficients, requires_grad=True)
+        refiner = editor.RefinerParams(*(Tensor(w, requires_grad=True) for w in weights))
+        leaves = [x, *refiner.named().values()]
+        if sweep == "onto_grads":
+            for t in leaves:
+                t.grad = np.full(t.shape, 0.25)
+        call = (lambda fn, *inputs: fn(*inputs)) if taped else ad.recompute
+        with mock.patch.object(ad, "recompute", side_effect=call) as spy:
+            s1 = editor.coefficient_edit_scores(x, refiner, k, steps)
+            s2 = editor.coefficient_edit_scores(ad.scalar_mul(x, -0.5), refiner, k, steps)
+        assert spy.call_count == 2
+        loss = ad.add(ad.add(ad.reduce_mean(ad.hadamard_mul(s1, Tensor(c1))),
+                             ad.reduce_mean(ad.hadamard_mul(s2, Tensor(c2)))),
+                      ad.reduce_mean(ad.hadamard_mul(x, x)))
+        with ad.no_grad() if sweep == "in_no_grad" else contextlib.nullcontext():
+            for _ in range(2 if sweep == "twice" else 1):
+                ad.backward(loss)
+        return [t.grad if t.grad is None else (t.grad.shape, t.grad.tobytes()) for t in leaves]
+
+    assert leaf_grads(taped=False) == leaf_grads(taped=True)
 
 
 # --- stem ----------------------------------------------------------------------
