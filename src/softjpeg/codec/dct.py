@@ -25,6 +25,12 @@ FDCT_FLAT = np.kron(DCT_MATRIX.T, DCT_MATRIX.T)
 IDCT_FLAT = np.kron(DCT_MATRIX, DCT_MATRIX)
 
 
+# The einsum's contraction order, fixed so the codec's pinned bits never hang
+# on numpy's per-call path search: D with the blocks first, then with D.
+# It is the order that search picks for every band shape the codec runs.
+_FDCT_PATH = ["einsum_path", (0, 1), (0, 1)]
+
+
 def fdct_blocks(blocks):
     """Apply the forward DCT to every 8x8 block of a (..., 8, 8) array."""
-    return np.einsum("ux,...xy,vy->...uv", DCT_MATRIX, blocks, DCT_MATRIX, optimize=True)
+    return np.einsum("ux,...xy,vy->...uv", DCT_MATRIX, blocks, DCT_MATRIX, optimize=_FDCT_PATH)

@@ -1,7 +1,7 @@
-"""The entropy-coded segment and its Huffman tables: default tables,
-canonical code assignment (ITU-T T.81 Annex C), DHT parsing with libjpeg's
-table checks, bit I/O with byte stuffing and the baseline scan syntax
-(Annex F.1.2 / F.2.2).
+"""The entropy-coded segment and its Huffman tables: the default tables
+and the DHT payload that carries them, canonical code assignment (ITU-T
+T.81 Annex C), DHT parsing with libjpeg's table checks, bit I/O with byte
+stuffing and the baseline scan syntax (Annex F.1.2 / F.2.2).
 
 A Huffman code is an integer with its bit length (T.81 C.2's HUFFCODE and
 HUFFSIZE); only this module builds or reads codes.  Decode tables map
@@ -100,6 +100,12 @@ def code_assignment(lengths, values):
         code <<= 1
 
 
+# The one DHT payload the encoder writes: DEFAULT_SPECS in their order, each
+# a class/destination byte, its 16 length counts and its values.
+DEFAULT_DHT = b"".join(bytes([cls << 4 | dest]) + lengths + values
+                       for (cls, dest), (lengths, values) in DEFAULT_SPECS.items())
+
+
 def parse_dht(payload):
     """Yield ``((class, destination), (lengths, values))`` for each table of
     a DHT segment's payload.  Raises JpegFormatError for what libjpeg
@@ -142,19 +148,24 @@ def _decode_table(lengths, values):
     return {(length, code): symbol for symbol, code, length in code_assignment(lengths, values)}
 
 
-def _code_arrays(dest):
-    """(codes, lengths) of the default tables of ``dest`` as arrays indexed
-    by ``class * 256 + symbol``: DC symbols first, then AC."""
-    codes, lengths = np.zeros(512, np.int64), np.zeros(512, np.int64)
-    for cls in (0, 1):
-        for symbol, code, length in code_assignment(*DEFAULT_SPECS[cls, dest]):
-            codes[cls * 256 + symbol], lengths[cls * 256 + symbol] = code, length
-    return codes, lengths
+# Each scan component's default-table destination, in scan order: Y codes
+# with tables 0, Cb and Cr with tables 1.
+SCAN_DESTS = (0, 1, 1)
 
 
-# The encoder's code and length arrays by table destination; it writes no
-# other tables.
-_ENCODE_TABLES = {dest: _code_arrays(dest) for dest in (0, 1)}
+def _code_arrays():
+    """(codes, lengths) of each scan component's default tables, flat arrays
+    indexed by ``component * 512 + class * 256 + symbol``."""
+    codes, lengths = np.zeros((2, len(SCAN_DESTS), 2, 256), np.int64)
+    for component, dest in enumerate(SCAN_DESTS):
+        for cls in (0, 1):
+            for symbol, code, length in code_assignment(*DEFAULT_SPECS[cls, dest]):
+                codes[component, cls, symbol], lengths[component, cls, symbol] = code, length
+    return codes.reshape(-1), lengths.reshape(-1)
+
+
+# The only codes the encoder writes.
+_CODES, _LENGTHS = _code_arrays()
 _AC, _ZRL, _EOB = 256, 256 + 0xF0, 256 + 0x00
 # The largest magnitudes a baseline scan codes (T.81 F.1.2): a DC difference
 # of SSSS 11 and an AC coefficient of SSSS 10.
@@ -225,13 +236,12 @@ class BitReader:
         raise JpegFormatError("invalid Huffman code in entropy-coded data")
 
 
-def _scan_words(zz, dc_diffs, codes, lengths):
+def _scan_words(zz, dc_diffs):
     """One (word, bit length) per coded coefficient of zigzag-ordered blocks,
     in scan order: the ZRLs before it, its code and magnitude bits (T.81
     F.1.2) and, after a block's last one, EOB if the block ends in zeros.
     ``zz`` is (blocks, 64), ``dc_diffs`` the blocks' DC differences, and
-    block i is coded with row i % len(codes) of the (components, 512) code
-    and length arrays."""
+    block i belongs to scan component i % len(SCAN_DESTS)."""
     coded = zz != 0
     coded[:, 0] = True  # every block codes its DC difference
     at = np.flatnonzero(coded)
@@ -250,27 +260,26 @@ def _scan_words(zz, dc_diffs, codes, lengths):
     value += DC_PEAK
     cat = _CATEGORY[value]
     run = np.diff(k, prepend=0) - 1  # zeros since the block's last coded one
-    # Each code's flat index in ``codes``: its component's row, then symbol.
-    row = (at >> 6) % len(codes) * 512
+    # Each code's index in ``_CODES``: its component's row, then symbol.
+    row = (at >> 6) % len(SCAN_DESTS) * 512
     symbol = row + _AC + ((run & 15) << 4 | cat)
     symbol[dc_at] = row[dc_at] + cat[dc_at]
-    codes, lengths = codes.reshape(-1), lengths.reshape(-1)
-    word = codes[symbol] << cat | _MAGNITUDE[value]
-    length = lengths[symbol] + cat
+    word = _CODES[symbol] << cat | _MAGNITUDE[value]
+    length = _LENGTHS[symbol] + cat
     # EOB after the last coded coefficient of a block that ends in zeros.
     last = np.append(dc_at[1:], len(at)) - 1
     last = last[k[last] < 63]
     eob = row[last] + _EOB
-    word[last] = word[last] << lengths[eob] | codes[eob]
-    length[last] += lengths[eob]
+    word[last] = word[last] << _LENGTHS[eob] | _CODES[eob]
+    length[last] += _LENGTHS[eob]
     # ZRLs before a coefficient that follows 16 zeros or more; rare.
     zrls = run >> 4
     zrls[dc_at] = 0
     ahead = np.flatnonzero(zrls)
     while ahead.size:
         zrl = row[ahead] + _ZRL
-        word[ahead] |= codes[zrl] << length[ahead]
-        length[ahead] += lengths[zrl]
+        word[ahead] |= _CODES[zrl] << length[ahead]
+        length[ahead] += _LENGTHS[zrl]
         zrls[ahead] -= 1
         ahead = ahead[zrls[ahead] > 0]
     return word, length
@@ -299,17 +308,15 @@ def _pack(words, lengths, carry, carry_bits):
     return out.tobytes(), 0, 0
 
 
-def encode_scan(blocks, dests):
+def encode_scan(blocks):
     """The stuffed entropy-coded segment of an interleaved scan: ``blocks``
-    holds each component's (rows, cols, 8, 8) integer array and ``dests``
-    its default-table destination.  A DC difference past +-2047 or an AC
-    coefficient past +-1023 raises CoefficientRangeError, naming the first
-    in scan order.
+    holds the Y, Cb and Cr (rows, cols, 8, 8) integer arrays, coded with
+    the default tables of ``SCAN_DESTS``.  A DC difference past +-2047 or an
+    AC coefficient past +-1023 raises CoefficientRangeError, naming the
+    first in scan order.
 
     The scan is coded one band of MCU rows at a time, as arrays: the DC
     predictor and the bits short of a whole byte carry into the next band."""
-    codes = np.stack([_ENCODE_TABLES[dest][0] for dest in dests])
-    lengths = np.stack([_ENCODE_TABLES[dest][1] for dest in dests])
     scan = bytearray()
     carry, carry_bits = 0, 0
     prev_dc = np.zeros(len(blocks), dtype=np.int64)
@@ -319,7 +326,7 @@ def encode_scan(blocks, dests):
         dc = zz[:, :, 0].astype(np.int64)
         diffs = np.diff(dc, axis=0, prepend=prev_dc[None])
         prev_dc = dc[-1]
-        words, word_lengths = _scan_words(zz.reshape(-1, 64), diffs.reshape(-1), codes, lengths)
+        words, word_lengths = _scan_words(zz.reshape(-1, 64), diffs.reshape(-1))
         packed, carry, carry_bits = _pack(words, word_lengths, carry, carry_bits)
         scan += packed
     if carry_bits:  # pad the last byte with 1-bits

@@ -3,7 +3,8 @@
 The reader is one header loop in ``entropy_decode`` over plain functions:
 ``_segment_at`` frames each marker segment, and one function per SOF0, DQT
 and SOS payload returns what it parsed.  Huffman tables are opaque here:
-``codec.huffman`` parses and checks DHT payloads and picks a scan's tables."""
+``codec.huffman`` owns the DHT payload the writer emits, parses and checks
+the DHT payloads it reads and picks a scan's tables."""
 
 import struct
 
@@ -13,8 +14,8 @@ from .blocks import BLOCK, CoefficientGrid, mcu_row_bands, partition_plane
 from .color import rgb_to_ycbcr
 from .dct import fdct_blocks
 from .errors import CoefficientRangeError, JpegFormatError
-from .huffman import DC_PEAK, DEFAULT_SPECS, ZIGZAG, decode_scan, encode_scan, parse_dht
-from .huffman import scan_tables
+from .huffman import DC_PEAK, DEFAULT_DHT, SCAN_DESTS, ZIGZAG, decode_scan, encode_scan
+from .huffman import parse_dht, scan_tables
 from .intdecode import integer_idct_samples, ycbcr_samples_to_rgb
 from .ppm import rgb_raster
 from .quant import QuantTablePair, quantize_blocks
@@ -37,8 +38,6 @@ CHANNELS = ("Y", "Cb", "Cr")
 MAX_PIXELS = 1 << 24
 # SOF0 declares each side of the frame in 16 bits.
 MAX_SIDE = 0xFFFF
-# (component id, quantization/huffman destination) per channel.
-_COMPONENTS = ((1, 0), (2, 1), (3, 1))
 
 
 def check_frame(height, width):
@@ -69,34 +68,25 @@ def _segment(marker, payload):
     return struct.pack(">BBH", 0xFF, marker, len(payload) + 2) + payload
 
 
-def _app0_jfif():
-    return _segment(APP0, b"JFIF\x00\x01\x01\x00" + struct.pack(">HHBB", 1, 1, 0, 0))
+# What the encoder writes before the DQT segments: SOI, then a JFIF 1.1 APP0
+# with a 1:1 aspect ratio and no thumbnail.
+_PREFIX = struct.pack(">BB", 0xFF, SOI) + _segment(
+    APP0, b"JFIF\x00\x01\x01\x00" + struct.pack(">HHBB", 1, 1, 0, 0))
+# SOF0's component block: ids 1, 2 and 3 (Y, Cb, Cr), 1x1 sampling, and the
+# DQT destination each reads, 0 (luma) or 1 (chroma).
+_SOF0_COMPONENTS = bytes([1, 0x11, 0, 2, 0x11, 1, 3, 0x11, 1])
+# What the encoder writes after SOF0: the default Huffman tables, then the
+# header of one interleaved scan of ids 1-3, each with the DC and AC tables
+# of its SCAN_DESTS entry, over coefficients 0-63.
+_SCAN_COMPONENTS = b"".join(bytes([comp_id, dest << 4 | dest])
+                            for comp_id, dest in enumerate(SCAN_DESTS, 1))
+_SUFFIX = (_segment(DHT, DEFAULT_DHT)
+           + _segment(SOS, bytes([3]) + _SCAN_COMPONENTS + bytes([0, 63, 0])))
 
 
 def _dqt_segment(dest, table):
     zz = np.asarray(table, dtype=np.int64).reshape(64)[ZIGZAG]
     return _segment(DQT, bytes([dest]) + bytes(int(v) for v in zz))
-
-
-def _sof0_segment(height, width):
-    payload = struct.pack(">BHHB", 8, height, width, 3)
-    for comp_id, dest in _COMPONENTS:
-        payload += struct.pack(">BBB", comp_id, 0x11, dest)
-    return _segment(SOF0, payload)
-
-
-def _dht_segment():
-    payload = b""
-    for (cls, dest), (lengths, values) in DEFAULT_SPECS.items():
-        payload += bytes([cls << 4 | dest]) + lengths + values
-    return _segment(DHT, payload)
-
-
-def _sos_segment():
-    payload = bytes([3])
-    for comp_id, dest in _COMPONENTS:
-        payload += bytes([comp_id, dest << 4 | dest])
-    return _segment(SOS, payload + bytes([0, 63, 0]))
 
 
 def _check_coefficient_range(grids):
@@ -126,17 +116,10 @@ def entropy_encode(grids, tables):
     check_frame(y.height, y.width)
     _check_coefficient_range(grids)
 
-    scan = encode_scan([g.blocks for g in grids], [dest for _, dest in _COMPONENTS])
-    head = (
-        struct.pack(">BB", 0xFF, SOI)
-        + _app0_jfif()
-        + _dqt_segment(0, tables.luma)
-        + _dqt_segment(1, tables.chroma)
-        + _sof0_segment(y.height, y.width)
-        + _dht_segment()
-        + _sos_segment()
-    )
-    return head + scan + struct.pack(">BB", 0xFF, EOI)
+    scan = encode_scan([g.blocks for g in grids])
+    sof0 = _segment(SOF0, struct.pack(">BHHB", 8, y.height, y.width, 3) + _SOF0_COMPONENTS)
+    return b"".join((_PREFIX, _dqt_segment(0, tables.luma), _dqt_segment(1, tables.chroma),
+                     sof0, _SUFFIX, scan, struct.pack(">BB", 0xFF, EOI)))
 
 
 def _next_marker(data, pos):

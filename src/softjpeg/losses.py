@@ -7,6 +7,7 @@ numpy.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -126,33 +127,28 @@ def _luma(img):
     raise ValueError(f"expected a 2D plane or (H, W, 3) image, got shape {img.shape}")
 
 
-def _gaussian_window(size=_WINDOW_SIZE, sigma=1.5):
-    half = (size - 1) / 2.0
-    g = np.exp(-((np.arange(size) - half) ** 2) / (2.0 * sigma**2))
-    return g / g.sum()
+# SSIM's 11-tap Gaussian window, sigma 1.5, normalized to sum 1, and its
+# stabilizing constants (K1 L)^2 and (K2 L)^2 for K1 = 0.01, K2 = 0.03 and
+# a peak L of 255.
+_WINDOW = np.exp(-((np.arange(_WINDOW_SIZE) - (_WINDOW_SIZE - 1) / 2.0) ** 2) / (2.0 * 1.5**2))
+_WINDOW /= _WINDOW.sum()
+_C1, _C2 = (0.01 * 255.0) ** 2, (0.03 * 255.0) ** 2
 
 
-_WINDOW = _gaussian_window()
+def _filter_valid(plane):
+    """Separable 'valid'-mode correlation with ``_WINDOW`` on both axes."""
+    out = sliding_window_view(plane, _WINDOW_SIZE, axis=0) @ _WINDOW
+    return sliding_window_view(out, _WINDOW_SIZE, axis=1) @ _WINDOW
 
 
-def _filter_valid(plane, window=_WINDOW):
-    """Separable 'valid'-mode correlation with a 1D window on both axes."""
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    out = sliding_window_view(plane, len(window), axis=0) @ window
-    return sliding_window_view(out, len(window), axis=1) @ window
-
-
-def _ssim_maps(x, y, k1=0.01, k2=0.03, peak=255.0):
-    c1 = (k1 * peak) ** 2
-    c2 = (k2 * peak) ** 2
+def _ssim_maps(x, y):
     mu_x = _filter_valid(x)
     mu_y = _filter_valid(y)
     var_x = _filter_valid(x * x) - mu_x * mu_x
     var_y = _filter_valid(y * y) - mu_y * mu_y
     cov = _filter_valid(x * y) - mu_x * mu_y
-    cs = (2.0 * cov + c2) / (var_x + var_y + c2)
-    ssim = ((2.0 * mu_x * mu_y + c1) / (mu_x * mu_x + mu_y * mu_y + c1)) * cs
+    cs = (2.0 * cov + _C2) / (var_x + var_y + _C2)
+    ssim = ((2.0 * mu_x * mu_y + _C1) / (mu_x * mu_x + mu_y * mu_y + _C1)) * cs
     return ssim, cs
 
 

@@ -24,6 +24,7 @@ from softjpeg.codec import blocks as blocks_module
 from softjpeg.codec.huffman import (
     _CATEGORY,
     _MAGNITUDE,
+    DEFAULT_DHT,
     DEFAULT_SPECS,
     ZIGZAG,
     BitReader,
@@ -32,6 +33,7 @@ from softjpeg.codec.huffman import (
     decode_scan,
     encode_scan,
     extend_magnitude,
+    parse_dht,
     scan_tables,
 )
 from softjpeg.codec.jfif import MAX_PIXELS
@@ -64,7 +66,7 @@ def test_encoded_scan_stuffs_every_ff_byte_and_decodes_back():
     rng = np.random.default_rng(4)
     blocks = [rng.integers(-1023, 1024, (3, 4, 8, 8)) for _ in range(3)]
     dests = (0, 1, 1)
-    scan = encode_scan(blocks, dests)
+    scan = encode_scan(blocks)
     ff = [i for i, byte in enumerate(scan) if byte == 0xFF]
     assert len(ff) > 10
     assert all(scan[i + 1] == 0x00 for i in ff)
@@ -112,7 +114,7 @@ def test_encode_scan_matches_the_per_symbol_encoder(rows, cols, band_mcus, seed)
     # many band edges; 1xN and Nx1 grids are among the shapes.
     blocks = scan_test_blocks(np.random.default_rng(seed), rows, cols)
     with mock.patch.object(blocks_module, "BAND_MCUS", band_mcus):
-        scan = encode_scan(blocks, (0, 1, 1))
+        scan = encode_scan(blocks)
     assert scan == encode_scan_per_symbol(blocks, (0, 1, 1))
 
 
@@ -120,7 +122,7 @@ def test_encode_scan_matches_the_per_symbol_encoder(rows, cols, band_mcus, seed)
                                    (3, blocks_module.BAND_MCUS + 7)])
 def test_encode_scan_matches_the_per_symbol_encoder_across_real_bands(shape):
     blocks = scan_test_blocks(np.random.default_rng(sum(shape)), *shape)
-    assert encode_scan(blocks, (0, 1, 1)) == encode_scan_per_symbol(blocks, (0, 1, 1))
+    assert encode_scan(blocks) == encode_scan_per_symbol(blocks, (0, 1, 1))
 
 
 def reconstruction_case(rng, height, width):
@@ -179,7 +181,7 @@ def test_out_of_range_scan_reports_its_first_offender(coefficients, message):
         with mock.patch.object(blocks_module, "BAND_MCUS", band_mcus):
             with pytest.raises(CoefficientRangeError,
                                match=f"^{message} is not Huffman-encodable$"):
-                encode_scan(blocks, (0, 1, 1))
+                encode_scan(blocks)
 
 
 def test_magnitude_bits_have_their_category_length_and_extend_back():
@@ -545,6 +547,13 @@ def replace_segment(stream, marker, payload):
 def payload_of(stream, marker):
     at = stream.index(bytes([0xFF, marker]))
     return stream[at + 4 : at + 2 + int.from_bytes(stream[at + 2 : at + 4], "big")]
+
+
+def test_the_written_dht_payload_parses_back_to_the_default_tables(valid_stream):
+    # The writer's one DHT segment carries the four tables in DEFAULT_SPECS order.
+    assert valid_stream.count(b"\xff\xc4") == 1
+    assert payload_of(valid_stream, 0xC4) == DEFAULT_DHT
+    assert list(parse_dht(DEFAULT_DHT)) == list(DEFAULT_SPECS.items())
 
 
 def insert_before(stream, marker, blob):

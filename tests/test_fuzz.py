@@ -90,6 +90,36 @@ def overwrites(draw, seed):
     return bytes(blob)
 
 
+def marker_segments(stream):
+    """``stream`` cut into SOI, the list of its marker segments before SOS,
+    and the rest from SOS on."""
+    segments, pos = [], 2
+    while stream[pos + 1] != 0xDA:
+        end = pos + 2 + int.from_bytes(stream[pos + 2 : pos + 4], "big")
+        segments.append(stream[pos:end])
+        pos = end
+    return stream[:2], segments, stream[pos:]
+
+
+@st.composite
+def segment_mutants(draw, seed):
+    """``seed`` with whole marker segments before SOS deleted, duplicated in
+    place or swapped with the next one, one to three times.  The encoder
+    writes five such segments (APP0, two DQT, SOF0 and DHT), so at least
+    three are left for each edit."""
+    soi, segments, rest = marker_segments(seed)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("delete", "duplicate", "swap")))
+        i = draw(st.integers(0, len(segments) - 1 - (kind == "swap")))
+        if kind == "delete":
+            del segments[i]
+        elif kind == "duplicate":
+            segments.insert(i, segments[i])
+        else:
+            segments[i : i + 2] = segments[i + 1], segments[i]
+    return soi + b"".join(segments) + rest
+
+
 def parse_within_bound(name, blob):
     """Parse ``blob`` with the ``name`` parser under tracemalloc; only the
     parser's typed error may come out.  Returns the peak traced bytes."""
@@ -197,3 +227,29 @@ def test_jfif_with_an_extra_huffman_table_decodes_as_libjpeg_does(seed, libjpeg_
     # About one in eight examples decodes; as above, the check needs many
     # distinct ones to reach libjpeg.
     assert len(compared) >= 30
+
+
+@JFIF_SEEDS
+def test_jfif_with_segments_edited_raises_only_typed_errors_in_bounded_memory(seed):
+    @given(segment_mutants(seed))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def check(blob):
+        assert parse_within_bound("jfif", blob) < MEMORY_BOUND
+
+    check()
+
+
+@JFIF_SEEDS
+def test_jfif_with_segments_edited_decodes_as_libjpeg_does(seed, libjpeg_decode):
+    compared = set()
+
+    @given(segment_mutants(seed))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def check(blob):
+        decodes_as_libjpeg_does(blob, libjpeg_decode, compared)
+
+    check()
+    # The examples hold 88 distinct streams per seed that decode: edits that
+    # keep both DQT tables and one SOF0 before SOS, such as a lost APP0 or
+    # DHT (the scan then takes the default tables) or a DQT moved past SOF0.
+    assert len(compared) >= 60
