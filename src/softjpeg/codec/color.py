@@ -3,7 +3,7 @@
 import numpy as np
 
 # Forward matrix rows are (Y, Cb, Cr) weights for (R, G, B).
-_FWD = np.array(
+YCBCR_FROM_RGB = np.array(
     [
         [0.299, 0.587, 0.114],
         [-0.168735892, -0.331264108, 0.5],
@@ -13,7 +13,7 @@ _FWD = np.array(
 _OFFSET = np.array([0.0, 128.0, 128.0])
 
 # Inverse rows exposed for code that rebuilds the transform channel-wise.
-RGB_FROM_YCBCR = np.linalg.inv(_FWD)
+RGB_FROM_YCBCR = np.linalg.inv(YCBCR_FROM_RGB)
 
 
 def rgb_to_ycbcr(rgb):
@@ -23,6 +23,6 @@ def rgb_to_ycbcr(rgb):
     when a caller needs an 8-bit raster.
     """
     rgb = np.asarray(rgb, dtype=np.float64)
-    ycc = rgb @ _FWD.T
+    ycc = rgb @ YCBCR_FROM_RGB.T
     ycc += _OFFSET
     return np.clip(ycc, 0.0, 255.0, out=ycc)

@@ -1,8 +1,8 @@
 """Baseline sequential JFIF bitstream writer and reader (8-bit, 3 components, 4:4:4).
 
-The reader is one header loop in ``entropy_decode`` over plain functions:
-``_segment_at`` frames each marker segment, and one function per SOF0, DQT
-and SOS payload returns what it parsed.  Huffman tables are opaque here:
+The reader is one marker loop in ``entropy_decode`` over plain functions:
+``_segment_at`` frames each marker segment, one function per SOF0, DQT and
+SOS payload returns what it parsed, and ``_read_scan`` decodes the scan.  Huffman tables are opaque here:
 ``codec.huffman`` owns the DHT payload the writer emits, parses and checks
 the DHT payloads it reads and picks a scan's tables."""
 
@@ -141,11 +141,10 @@ def _next_marker(data, pos):
 
 def _segment_at(data, pos):
     """Frame the marker segment that ``_next_marker`` finds at ``data[pos]``:
-    ``(marker, payload, the position after it)``.  EOI has no place before
-    the scan."""
+    ``(marker, payload, the position after it)``; EOI has an empty payload."""
     marker, pos = _next_marker(data, pos)
     if marker == EOI:
-        raise JpegFormatError("EOI marker before any scan data")
+        return marker, b"", pos
     if pos + 2 > len(data):
         raise JpegFormatError("truncated stream inside segment length")
     seglen = struct.unpack_from(">H", data, pos)[0]
@@ -226,6 +225,26 @@ def _parse_sos(payload, qdest):
     return [(qdest[i], t >> 4, t & 0x0F) for i, t in zip(ids, tables)]
 
 
+def _read_scan(data, pos, payload, frame, qtables, htables):
+    """Decode the scan at ``data[pos]`` that SOS ``payload`` describes:
+    ``(grids, tables, the end position)``."""
+    (height, width), qdest = frame
+    rows, cols = -(-height // 8), -(-width // 8)
+    scan_qtables, maps = [], []
+    for channel, (dest, dc_dest, ac_dest) in zip(CHANNELS, _parse_sos(payload, qdest)):
+        if dest not in qtables:
+            raise JpegFormatError(f"missing quantization table {dest}")
+        scan_qtables.append(qtables[dest])
+        maps.append(scan_tables(htables, dc_dest, ac_dest, channel))
+    luma, cb, cr = scan_qtables
+    if not np.array_equal(cb, cr):
+        raise JpegFormatError("Cb and Cr must share one quantization table")
+    blocks, pos = decode_scan(data, pos, rows, cols, maps)
+    grids = tuple(CoefficientGrid(channel, b.reshape(rows, cols, 8, 8), height, width)
+                  for channel, b in zip(CHANNELS, blocks))
+    return grids, QuantTablePair(luma, cb), pos
+
+
 def entropy_decode(data):
     """Parse a baseline JFIF stream in the subset ``decode_baseline``
     accepts (see the README), such as any that :func:`entropy_encode` writes.
@@ -238,12 +257,24 @@ def entropy_decode(data):
         raise JpegFormatError("truncated stream inside SOI")
     if data[:2] != b"\xff\xd8":
         raise JpegFormatError("missing SOI marker at stream start")
-    pos, frame, qtables, htables = 2, None, {}, {}
+    # As libjpeg's read_markers, one loop to EOI: the segments after the scan
+    # are checked as those before it, but go unused.
+    pos, frame, qtables, htables, restarts, scan = 2, None, {}, {}, False, None
     while True:
         marker, payload, pos = _segment_at(data, pos)
+        if marker == EOI:
+            if scan is None:
+                raise JpegFormatError("EOI marker before any scan data")
+            return (*scan, frame[0])
         if marker == SOS:
-            break
-        if marker == SOF0:
+            if scan is not None:
+                raise JpegFormatError("more than one scan")
+            if frame is None:
+                raise JpegFormatError("SOS marker before SOF0")
+            if restarts:
+                raise JpegFormatError("restart intervals are not supported")
+            *scan, pos = _read_scan(data, pos, payload, frame, qtables, htables)
+        elif marker == SOF0:
             if frame is not None:
                 raise JpegFormatError("duplicate SOF marker")
             frame = _parse_sof0(payload)
@@ -260,36 +291,11 @@ def entropy_decode(data):
         elif marker == DHT:
             htables.update(parse_dht(payload))
         elif marker == DRI:
-            if payload != b"\x00\x00":  # a 2-byte interval of 0 means no restarts
-                raise JpegFormatError("restart intervals are not supported")
+            if len(payload) != 2:
+                raise JpegFormatError("DRI segment length mismatch")
+            restarts = payload != b"\x00\x00"  # an interval of 0 means no restarts
         elif not (0xE0 <= marker <= 0xEF or marker == COM):  # APPn and COM are skipped
             raise JpegFormatError(f"unsupported marker 0xFF{marker:02X}")
-    if frame is None:
-        raise JpegFormatError("SOS marker before SOF0")
-    (height, width), qdest = frame
-    rows, cols = -(-height // 8), -(-width // 8)
-
-    scan_qtables, maps = [], []
-    for channel, (dest, dc_dest, ac_dest) in zip(CHANNELS, _parse_sos(payload, qdest)):
-        if dest not in qtables:
-            raise JpegFormatError(f"missing quantization table {dest}")
-        scan_qtables.append(qtables[dest])
-        maps.append(scan_tables(htables, dc_dest, ac_dest, channel))
-    luma, cb, cr = scan_qtables
-    if not np.array_equal(cb, cr):
-        raise JpegFormatError("Cb and Cr must share one quantization table")
-    blocks, pos = decode_scan(data, pos, rows, cols, maps)
-
-    try:
-        marker, _ = _next_marker(data, pos)
-    except JpegFormatError:
-        marker = None
-    if marker != EOI:
-        raise JpegFormatError("missing EOI marker after entropy-coded data")
-
-    grids = tuple(CoefficientGrid(channel, b.reshape(rows, cols, 8, 8), height, width)
-                  for channel, b in zip(CHANNELS, blocks))
-    return grids, QuantTablePair(luma, cb), (height, width)
 
 
 def _empty_grids(height, width, dtype):

@@ -19,9 +19,8 @@ from .codec import quantize_grids, read_ppm, reconstruct_raster
 from .codec import JpegFormatError, PpmFormatError, tables_for_quality, transform_grids
 from .codec.jfif import check_frame
 from .editor import stem_forward
-from .losses import ALIGNMENT_WEIGHT, MIN_MSSSIM_SIDE, loss_terms, msssim_db, psnr_from_mse
-from .losses import ssim_and_msssim
-from .losses import mse as mse_metric
+from .losses import ALIGNMENT_WEIGHT, MIN_MSSSIM_SIDE, loss_terms, msssim_db, mse_metric
+from .losses import psnr_from_mse, ssim_and_msssim
 
 
 # The types each scalar field accepts: those a checkpoint trailer writes as
@@ -483,7 +482,7 @@ def _match_baseline_quality(image, target_bpp):
 
 
 def _metric_row(image_id, bpp, original, decoded):
-    err = mse_metric(np.asarray(original, float), np.asarray(decoded, float))
+    err = mse_metric(original, decoded)
     single, ms = ssim_and_msssim(original, decoded)
     return {
         "image_id": image_id,

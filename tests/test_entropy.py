@@ -561,6 +561,10 @@ def insert_before(stream, marker, blob):
     return stream[:at] + blob + stream[at:]
 
 
+def insert_before_eoi(stream, blob):
+    return stream[:-2] + blob + stream[-2:]
+
+
 # Hand edits of a 16x16 q50 stream, one per reader rule, and the message
 # each raises; None marks an edit that must decode to the unedited raster.
 READER_EDITS = {
@@ -572,7 +576,19 @@ READER_EDITS = {
     "rst0-before-sof0": (lambda s: insert_before(s, 0xC0, b"\xff\xd0" * 10_000), None),
     "tem-before-sof0": (lambda s: insert_before(s, 0xC0, b"\xff\x01"), None),
     "rst7-before-sos": (lambda s: insert_before(s, 0xDA, b"\xff\xd7"), None),
-    "rst0-before-eoi": (lambda s: s[:-2] + b"\xff\xd0" + s[-2:], None),
+    "rst0-before-eoi": (lambda s: insert_before_eoi(s, b"\xff\xd0"), None),
+    # As libjpeg's read_markers, tables, DRI, DAC, APPn and COM segments may
+    # sit between the scan and EOI, where they go unused.  The DQT and DHT
+    # here would change the raster if the scan used them.
+    "app1-after-scan": (lambda s: insert_before_eoi(s, segment(0xE1, b"Exif\x00\x00")), None),
+    "com-empty-after-scan": (lambda s: insert_before_eoi(s, segment(0xFE, b"")), None),
+    "dqt-after-scan": (lambda s: insert_before_eoi(s, segment(0xDB, b"\x00" + bytes(range(1, 65)))),
+                       None),
+    "dht-after-scan": (lambda s: insert_before_eoi(s, segment(0xC4, b"\x00" + bytes([2] + [0] * 15)
+                                                           + b"\x00\x01")), None),
+    "dri-interval-1-after-scan": (lambda s: insert_before_eoi(s, segment(0xDD, b"\x00\x01")),
+                                  None),
+    "dac-after-scan": (lambda s: insert_before_eoi(s, segment(0xCC, b"\x00\x10")), None),
     # As libjpeg's get_dac, a DAC segment is checked, and a Huffman-coded
     # frame has no use for it: DC table 0 gets bounds 0..1, AC table 0 K=5.
     "dac-before-sos": (lambda s: insert_before(s, 0xDA, segment(0xCC, b"\x00\x10\x10\x05")),
@@ -585,6 +601,9 @@ READER_EDITS = {
     "dri-interval-0": (lambda s: insert_before(s, 0xDA, b"\xff\xdd\x00\x04\x00\x00"), None),
     "dri-interval-1": (lambda s: insert_before(s, 0xDA, b"\xff\xdd\x00\x04\x00\x01"),
                        "restart intervals are not supported"),
+    # The scan takes the interval of the last DRI before it.
+    "dri-interval-1-then-0": (lambda s: insert_before(s, 0xDA, segment(0xDD, b"\x00\x01")
+                                                      + segment(0xDD, b"\x00\x00")), None),
     # As libjpeg's jpeg_std_huff_table, an empty slot 0 or 1 takes the T.81
     # K.3 table, the one this encoder writes there; slots 2 and 3 have none.
     "dht-removed": (lambda s: s.replace(segment(0xC4, payload_of(s, 0xC4)), b""), None),
@@ -630,17 +649,33 @@ def test_stream_reader_rules(edit, natural_image, request):
             decode_baseline(patched)
 
 
-@pytest.mark.parametrize("payload, message, libjpeg_message", [
-    (b"\x20\x00", "invalid DAC table index 32", "Bogus DAC index 32"),
-    (b"\x00\x01", "invalid DAC value 0x01 for DC table 0", "Bogus DAC value 0x1"),
+# Hand edits of a 16x16 q50 stream that libjpeg refuses too: (the edit, the
+# message it raises here, libjpeg's message).
+LIBJPEG_REFUSALS = {
+    "dac-index-32": (lambda s: insert_before(s, 0xDA, segment(0xCC, b"\x20\x00")),
+                     "invalid DAC table index 32", "Bogus DAC index 32"),
+    "dac-dc-value-0x01": (lambda s: insert_before(s, 0xDA, segment(0xCC, b"\x00\x01")),
+                          "invalid DAC value 0x01 for DC table 0", "Bogus DAC value 0x1"),
     # libjpeg reads past the segment for the last pair's value, then finds
     # the length odd.
-    (b"\x10\x00\x10", "DAC segment length mismatch", "Bogus marker length"),
-], ids=["index-32", "dc-value-0x01", "odd-length"])
-def test_bad_dac_rejected_as_by_libjpeg(payload, message, libjpeg_message, natural_image,
-                                        libjpeg_decode):
+    "dac-odd-length": (lambda s: insert_before(s, 0xDA, segment(0xCC, b"\x10\x00\x10")),
+                       "DAC segment length mismatch", "Bogus marker length"),
+    "dri-3-bytes": (lambda s: insert_before(s, 0xDA, segment(0xDD, b"\x00\x00\x00")),
+                    "DRI segment length mismatch", "Bogus marker length"),
+    "dri-3-bytes-after-scan": (lambda s: insert_before_eoi(s, segment(0xDD, b"\x00\x01\x00")),
+                               "DRI segment length mismatch", "Bogus marker length"),
+    "sof0-after-scan": (lambda s: insert_before_eoi(s, segment(0xC0, payload_of(s, 0xC0))),
+                        "duplicate SOF marker", "two SOF markers"),
+    "sos-after-scan": (lambda s: insert_before_eoi(s, segment(0xDA, payload_of(s, 0xDA))),
+                       "more than one scan", "Didn't expect more than one scan"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(LIBJPEG_REFUSALS))
+def test_segments_rejected_as_by_libjpeg(edit, natural_image, libjpeg_decode):
     stream = encode_baseline(natural_image(16, 16, seed=1), tables_for_quality(50))
-    patched = insert_before(stream, 0xDA, segment(0xCC, payload))
+    patch, message, libjpeg_message = LIBJPEG_REFUSALS[edit]
+    patched = patch(stream)
     with pytest.raises(ValueError, match=libjpeg_message):
         libjpeg_decode(patched)
     with pytest.raises(JpegFormatError, match=f"^{re.escape(message)}$"):

@@ -3,7 +3,8 @@
 Whatever bytes arrive, each parser raises only its typed error, and its
 memory stays within a fixed bound: nothing is allocated from a header the
 data cannot back up.  A JFIF stream the decoder accepts decodes to the
-raster libjpeg gives.
+raster libjpeg gives, and one whose marker segments are edited is refused
+only where libjpeg refuses it.
 """
 
 import struct
@@ -92,24 +93,37 @@ def overwrites(draw, seed):
 
 def marker_segments(stream):
     """``stream`` cut into SOI, the list of its marker segments before SOS,
-    and the rest from SOS on."""
+    the SOS segment with its scan, and EOI."""
     segments, pos = [], 2
     while stream[pos + 1] != 0xDA:
         end = pos + 2 + int.from_bytes(stream[pos + 2 : pos + 4], "big")
         segments.append(stream[pos:end])
         pos = end
-    return stream[:2], segments, stream[pos:]
+    return stream[:2], segments, stream[pos:-2], stream[-2:]
 
 
 @st.composite
 def segment_mutants(draw, seed):
-    """``seed`` with whole marker segments before SOS deleted, duplicated in
-    place or swapped with the next one, one to three times.  The encoder
-    writes five such segments (APP0, two DQT, SOF0 and DHT), so at least
-    three are left for each edit."""
-    soi, segments, rest = marker_segments(seed)
+    """``seed`` edited one to three times: a marker segment before SOS is
+    deleted, duplicated in place or swapped with the next one, or a COM or
+    APPn segment with a random payload is inserted at any segment boundary,
+    between the scan and EOI included.  The encoder writes five segments
+    before SOS (APP0, two DQT, SOF0 and DHT), so at least three are left
+    for each edit."""
+    soi, segments, scan, eoi = marker_segments(seed)
+    after_scan = []
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(("delete", "duplicate", "swap")))
+        kind = draw(st.sampled_from(("delete", "duplicate", "swap", "insert")))
+        if kind == "insert":
+            marker = draw(st.sampled_from([0xFE, *range(0xE0, 0xF0)]))
+            payload = draw(st.binary(max_size=24))
+            new = struct.pack(">BBH", 0xFF, marker, len(payload) + 2) + payload
+            i = draw(st.integers(0, len(segments) + len(after_scan) + 1))
+            if i <= len(segments):
+                segments.insert(i, new)
+            else:
+                after_scan.insert(i - len(segments) - 1, new)
+            continue
         i = draw(st.integers(0, len(segments) - 1 - (kind == "swap")))
         if kind == "delete":
             del segments[i]
@@ -117,7 +131,7 @@ def segment_mutants(draw, seed):
             segments.insert(i, segments[i])
         else:
             segments[i : i + 2] = segments[i + 1], segments[i]
-    return soi + b"".join(segments) + rest
+    return soi + b"".join(segments) + scan + b"".join(after_scan) + eoi
 
 
 def parse_within_bound(name, blob):
@@ -173,12 +187,17 @@ def extra_tables(draw, seed):
     return with_extra_table(seed, tcth, lengths, values)
 
 
-def decodes_as_libjpeg_does(blob, libjpeg_decode, compared):
+def decodes_as_libjpeg_does(blob, libjpeg_decode, compared, refusals_too=False):
     """Unless ``decode_baseline`` refuses ``blob``, libjpeg's C path must
-    decode it to the same raster; a compared ``blob`` joins ``compared``."""
+    decode it to the same raster; a compared ``blob`` joins ``compared``.
+    With ``refusals_too``, libjpeg must refuse what ``decode_baseline``
+    refuses, or decode it only with a warning."""
     try:
         raster = decode_baseline(blob)
     except JpegFormatError:
+        if refusals_too:
+            with pytest.raises(ValueError, match="libjpeg rejected"):
+                libjpeg_decode(blob, env=LIBJPEG_C_PATH)
         return
     try:
         expected = libjpeg_decode(blob, env=LIBJPEG_C_PATH)
@@ -246,10 +265,12 @@ def test_jfif_with_segments_edited_decodes_as_libjpeg_does(seed, libjpeg_decode)
     @given(segment_mutants(seed))
     @settings(derandomize=True, max_examples=300, deadline=None)
     def check(blob):
-        decodes_as_libjpeg_does(blob, libjpeg_decode, compared)
+        decodes_as_libjpeg_does(blob, libjpeg_decode, compared, refusals_too=True)
 
     check()
-    # The examples hold 88 distinct streams per seed that decode: edits that
-    # keep both DQT tables and one SOF0 before SOS, such as a lost APP0 or
-    # DHT (the scan then takes the default tables) or a DQT moved past SOF0.
-    assert len(compared) >= 60
+    # Every refusal here is one libjpeg makes too.  The examples hold 166
+    # distinct streams per seed that decode: edits that keep both DQT tables
+    # and one SOF0 before SOS, such as a lost APP0 or DHT (the scan then
+    # takes the default tables), a DQT moved past SOF0 or a COM or APPn
+    # segment anywhere, after the scan included.
+    assert len(compared) >= 120
